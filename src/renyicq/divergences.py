@@ -174,22 +174,20 @@ def support_dominated(rho: HermitianOperator, sigma: HermitianOperator,
     return total - inside <= rtol * max(total, 1e-300)
 
 
-def q_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
-    """Tr (rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z})^z with powers on supports.
-
-    For alpha > 1 with rho's support leaking outside sigma's, returns
-    SUPPORT_INF; z = inf dispatches to the exp-log-trace form.  Orthogonal
-    supports give 0 when alpha < 1.
-    """
+def _validated(rho, sigma, p: RenyiParams, op: str):
+    """Coerce and check a divergence argument pair; returns (rho, sigma, Tr rho)."""
     rho, sigma = herm(rho), herm(sigma)
-    p.require_not_one("q_alpha_z")
-    _check_nonzero(rho, "q_alpha_z")
+    p.require_not_one(op)
+    tr = _check_nonzero(rho, op)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if p.alpha > 1.0 and not support_dominated(rho, sigma):
-        return SUPPORT_INF
-    if p.is_log_euclidean:
-        return exp_log_trace(rho, sigma, p.alpha)
+    return rho, sigma, tr
+
+
+def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
+                       p: RenyiParams) -> np.ndarray:
+    """Eigenvalues of rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z} on its support,
+    ascending; empty when the product vanishes."""
     a, z = p.alpha, p.z
     rho_half = support_power(rho, a / (2.0 * z)).mat
     sig_pow = support_power(sigma, (1.0 - a) / z).mat
@@ -197,9 +195,24 @@ def q_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) 
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     wmax = float(w[-1])
     if wmax <= 0.0:
-        return 0.0
-    on = w > wmax * SUPPORT_RTOL
-    return float(np.sum(w[on] ** z))
+        return w[:0]
+    return w[w > wmax * SUPPORT_RTOL]
+
+
+def q_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
+    """Tr (rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z})^z with powers on supports.
+
+    For alpha > 1 with rho's support leaking outside sigma's, returns
+    SUPPORT_INF; z = inf dispatches to the exp-log-trace form.  Orthogonal
+    supports give 0 when alpha < 1.  The power trace itself may overflow to
+    a plain +inf at large z; :func:`d_alpha_z` works with log Q instead.
+    """
+    rho, sigma, _ = _validated(rho, sigma, p, "q_alpha_z")
+    if p.alpha > 1.0 and not support_dominated(rho, sigma):
+        return SUPPORT_INF
+    if p.is_log_euclidean:
+        return exp_log_trace(rho, sigma, p.alpha)
+    return float(np.sum(_sandwich_spectrum(rho, sigma, p) ** p.z))
 
 
 def d_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
@@ -207,17 +220,28 @@ def d_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) 
 
     ``alpha = 1`` delegates to the relative-entropy limit.  Support
     violations (alpha > 1) and orthogonal supports (alpha < 1) both give
-    SUPPORT_INF.
+    SUPPORT_INF.  log Q is formed as z log w_max + log sum (w/w_max)^z, so
+    no eigenvalue power over- or underflows: large orders give finite
+    values rather than an overflow mistaken for a support violation.
     """
     if p.alpha == 1.0:
         return umegaki(rho, sigma)
-    tr = _check_nonzero(herm(rho), "d_alpha_z")
-    q = q_alpha_z(rho, sigma, p)
-    if math.isinf(q):
+    rho, sigma, tr = _validated(rho, sigma, p, "d_alpha_z")
+    if p.alpha > 1.0 and not support_dominated(rho, sigma):
         return SUPPORT_INF
-    if q <= 0.0:
+    if p.is_log_euclidean:
+        q = exp_log_trace(rho, sigma, p.alpha)
+        log_q = math.log(q) if q > 0.0 else -math.inf
+    else:
+        w = _sandwich_spectrum(rho, sigma, p)
+        if w.size == 0:
+            log_q = -math.inf
+        else:
+            wmax = float(w[-1])
+            log_q = p.z * math.log(wmax) + math.log(float(np.sum((w / wmax) ** p.z)))
+    if log_q == -math.inf:
         return SUPPORT_INF
-    return (math.log(q) - math.log(tr)) / (p.alpha - 1.0)
+    return (log_q - math.log(tr)) / (p.alpha - 1.0)
 
 
 def umegaki(rho: HermitianOperator, sigma: HermitianOperator) -> float:

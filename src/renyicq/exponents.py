@@ -4,6 +4,13 @@ All rates and exponents are in nats.  The one-dimensional suprema over the
 order parameter run on a log-spaced grid with golden-section refinement
 around the grid argmax; the alpha -> 1 and alpha -> infinity endpoints use
 their exact formulas (relative entropy and max-relative entropy).
+
+The alpha -> infinity endpoint of the strong converse exponent is the
+weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
+D_max(W(x)||sigma), a convex problem.  It is solved by BFGS with exact
+gradients on a log-sum-exp smoothing whose temperature rises to 5e10; the
+reported value is the unsmoothed objective at the final state, hence an
+upper bound on chi_inf.
 """
 
 from __future__ import annotations
@@ -13,23 +20,23 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
-from .centers import (
-    _fallback_starts,
-    _nm_minimize,
-    _pack_cholesky,
-    _unpack_cholesky,
-    solve_center_D,
-)
+from .centers import solve_center_D
 from .channels import GcqChannel, InputDistribution, TypeClass, average_output
 from .divergences import RenyiParams, d_alpha_z, q_alpha_z, umegaki
 from .exceptions import NonConvergenceError
-from .operators import DensityOperator, herm, support_projection
+from .operators import SUPPORT_RTOL, DensityOperator, herm, support_projection
 
 DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
 DEFAULT_REFINE_ITERS = 20
 SP_ALPHA_MIN = 1e-3
+
+# Temperatures T of the smoothed chi_inf solve, whose bias is at most
+# log(d)/T.  The last one repeats: a BFGS run stopped by a line-search
+# precision loss resumes from its point with a fresh Hessian model.
+_CHI_INF_TEMPS = (50.0, 5e3, 5e5, 5e7, 5e9, 5e10, 5e10, 5e10)
 
 
 @dataclass
@@ -64,8 +71,9 @@ class RadiusCache:
     """Memoized chi_alpha evaluations with warm-started solves.
 
     ``rule`` picks z = alpha ("sandwiched") or z = 1 ("petz"); the alpha ->
-    infinity endpoint (max-relative-entropy radius) is solved once by direct
-    minimization.
+    infinity endpoint (max-relative-entropy radius) is solved once by
+    smoothed gradient descent, see :meth:`chi_inf`, and its minimizing state
+    is kept in ``chi_inf_center``.
     """
 
     def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched",
@@ -79,6 +87,7 @@ class RadiusCache:
         self.max_iter = max_iter
         self._results = {}
         self._chi_inf = None
+        self.chi_inf_center = None
 
     def _params(self, alpha: float) -> RenyiParams:
         return RenyiParams(alpha, alpha if self.rule == "sandwiched" else 1.0)
@@ -105,86 +114,106 @@ class RadiusCache:
         return self.result(alpha).value
 
     def chi_inf(self) -> float:
-        """Weighted max-relative-entropy radius (the alpha -> inf endpoint).
+        """Weighted max-relative-entropy radius (the alpha -> inf endpoint)
 
-        The top eigenvalue is smoothed through a temperature ladder of
-        stable log-sum-exp surrogates (bias <= log(d)/T), then the exact
-        nonsmooth objective is polished by a shrinking pattern search.
+            chi_inf = min_sigma sum_x P(x) D_max(W(x) || sigma),
+
+        solved on the support of W(P) by :func:`_dmax_radius`, warm-started
+        from the center of the largest cached order (else from W(P)).  The
+        returned value is the exact objective at the state kept in
+        ``chi_inf_center``, so it is an upper bound on the true radius,
+        never above the objective at the start point.
         """
         if self._chi_inf is None:
-            w, p = self.w, self.p
-            supp = p.support
-            probs = np.array([p.probability(s) for s in supp])
-            d = w.dim
-            mats = [w.output(s).mat for s in supp]
-
-            def log_spectrum(theta):
-                sigma = _unpack_cholesky(theta, d)
-                tr = float(np.trace(sigma).real)
-                if tr <= 0.0 or not np.isfinite(tr):
-                    return None
-                sigma = sigma / tr
-                wv, vv = np.linalg.eigh(sigma)
-                floor = max(float(wv[-1]), 1e-300) * 1e-15
-                if wv[0] <= floor:
-                    return None
-                inv_half = (vv * wv ** -0.5) @ vv.conj().T
-                out = []
-                for m in mats:
-                    lam = np.linalg.eigvalsh(inv_half @ m @ inv_half)
-                    out.append(np.log(np.maximum(lam, 1e-300)))
-                return out
-
-            def smoothed(theta, temp):
-                spectra = log_spectrum(theta)
-                if spectra is None:
-                    return 1e300
-                total = 0.0
-                for weight, loglam in zip(probs, spectra):
-                    m = loglam.max()
-                    total += weight * (m + math.log(
-                        float(np.sum(np.exp(temp * (loglam - m))))) / temp)
-                return total
-
-            def exact(theta):
-                spectra = log_spectrum(theta)
-                if spectra is None:
-                    return 1e300
-                return float(sum(weight * loglam.max()
-                                 for weight, loglam in zip(probs, spectra)))
-
+            avg = average_output(self.w, self.p)
+            wa, va = avg.eig
+            iso = va[:, wa > float(wa[-1]) * SUPPORT_RTOL]
+            symbols = self.p.support
+            probs = np.array([self.p.probability(s) for s in symbols])
+            mats = np.stack([iso.conj().T @ self.w.output(s).mat @ iso for s in symbols])
             if self._results:
-                top = max(self._results)
-                start = self._results[top].center.mat
+                start = self._results[max(self._results)].center.mat
             else:
-                avg = average_output(w, p)
-                start = avg.mat / avg.trace()
-            theta = None
-            for temp in (50.0, 500.0, 5e3, 5e4, 5e5):
-                obj = lambda th, t=temp: smoothed(th, t)
-                if theta is None:
-                    sigma, _ = _nm_minimize(obj, d, _fallback_starts(start, start, d),
-                                            maxfev=40000)
-                else:
-                    sigma, _ = _nm_minimize(obj, d, [_unpack_cholesky(theta, d)],
-                                            maxfev=20000)
-                theta = _pack_cholesky(sigma / float(np.trace(sigma).real))
-            value = exact(theta)
-            step = 1e-3
-            while step > 1e-8:
-                improved = False
-                for i in range(len(theta)):
-                    for sgn in (1.0, -1.0):
-                        cand = theta.copy()
-                        cand[i] += sgn * step
-                        cv = exact(cand)
-                        if cv < value - 1e-15:
-                            theta, value = cand, cv
-                            improved = True
-                if not improved:
-                    step *= 0.5
-            self._chi_inf = float(value)
+                start = avg.mat
+            value, sigma = _dmax_radius(mats, probs, iso.conj().T @ start @ iso)
+            self.chi_inf_center = DensityOperator(iso @ sigma @ iso.conj().T)
+            self._chi_inf = value
         return self._chi_inf
+
+
+def _dmax_radius(mats, probs, start):
+    """min over states sigma of F(sigma) = sum_x p_x log lambda_max(sigma^{-1/2} W_x sigma^{-1/2}).
+
+    F is convex in sigma, so every local minimum is global.  With sigma =
+    L L^* (L lower triangular) the generalized eigenpairs W_x v = lambda
+    sigma v come from one ``eigh`` of L^{-1} W_x L^{-*}, normalized so that
+    v^* sigma v = 1, and d log lambda = -v^* (d sigma) v is exact.  BFGS
+    minimizes the log-sum-exp smoothing F_T (bias at most log(d)/T) plus
+    Tr sigma: F_T(c sigma) = F_T(sigma) - log c, so the minimizer has unit
+    trace without a constraint.  T rises through ``_CHI_INF_TEMPS``.
+
+    The weighted sum of ``mats`` and ``start`` must be positive definite.
+    Each stage starts from the best state so far.  Returns (F(sigma), sigma)
+    for the unit-trace sigma with the smallest exact F seen, the start
+    included.
+    """
+    k = start.shape[0]
+    diag = np.diag_indices(k)
+    tril = np.tril_indices(k, -1)
+
+    def pack(ell):
+        return np.concatenate([ell[diag].real, ell[tril].real, ell[tril].imag])
+
+    def unpack(theta):
+        ell = np.zeros((k, k), dtype=complex)
+        ell[diag] = theta[:k]
+        ell[tril] = theta[k:k + len(tril[0])] + 1j * theta[k + len(tril[0]):]
+        return ell
+
+    def eigenpairs(ell):
+        linv = np.linalg.inv(ell)
+        lam, u = np.linalg.eigh(linv @ mats @ linv.conj().T)
+        return linv, lam, u
+
+    def smoothed(theta, temp):
+        ell = unpack(theta)
+        try:
+            linv, lam, u = eigenpairs(ell)
+        except np.linalg.LinAlgError:
+            return math.inf, np.zeros_like(theta)
+        top = lam[:, -1]
+        if not (np.all(np.isfinite(lam)) and top.min() > 0.0):
+            return math.inf, np.zeros_like(theta)
+        with np.errstate(divide="ignore"):
+            tilt = np.exp(temp * (np.log(np.maximum(lam, 0.0)) - np.log(top)[:, None]))
+        norm = tilt.sum(axis=1)
+        value = float(probs @ (np.log(top) + np.log(norm) / temp)) + float(theta @ theta)
+        # Gradient in sigma: I - sum_x p_x sum_i softmax_i v_i v_i^*; with
+        # v = L^{-*} u its pull-back to L is 2 (L - L^{-*} A).
+        a = np.einsum("xij,xj,xkj->ik", u, (probs / norm)[:, None] * tilt, u.conj())
+        g = 2.0 * (ell - linv.conj().T @ a)
+        return value, pack(g)
+
+    def exact(ell):
+        ell = ell / math.sqrt(float(np.sum(np.abs(ell) ** 2)))
+        try:
+            top = eigenpairs(ell)[1][:, -1]
+        except np.linalg.LinAlgError:
+            return math.inf
+        return float(probs @ np.log(top)) if top.min() > 0.0 else math.inf
+
+    start = start / float(np.trace(start).real)
+    ell = np.linalg.cholesky(start + 1e-12 * np.eye(k))
+    best, best_ell = exact(ell), ell
+    for temp in _CHI_INF_TEMPS:
+        theta = optimize.minimize(smoothed, pack(best_ell), args=(temp,), jac=True,
+                                  method="BFGS", options={"gtol": 1e-10}).x
+        ell = unpack(theta)
+        value = exact(ell)
+        if value < best:
+            best, best_ell = value, ell
+    sigma = best_ell @ best_ell.conj().T
+    return best, sigma / float(np.trace(sigma).real)
 
 
 def _golden_max(f, lo, hi, iters):

@@ -120,6 +120,18 @@ class TestDAlphaZ:
         got = d_alpha_z(PURE0, PURE1, RenyiParams(0.5, 1.0))
         assert isinstance(got, SupportViolationInfinity)
 
+    def test_large_order_is_finite_not_support_violation(self):
+        # Q = sum_j p_j^a q_j^(1-a) is about e^746 here, past the largest double.
+        rho, sigma = state([0.6, 0.4]), state([0.5, 0.5])
+        want = (math.log(0.5) + 4096 * math.log(1.2)
+                + math.log1p((0.8 / 1.2) ** 4096)) / 4095.0
+        got = d_alpha_z(rho, sigma, RenyiParams.sandwiched(4096.0))
+        assert not isinstance(got, SupportViolationInfinity)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(0.18220, abs=1e-5)
+        assert isinstance(d_alpha_z(P_HALF, PURE0, RenyiParams.sandwiched(4096.0)),
+                          SupportViolationInfinity)
+
 
 class TestUmegaki:
     def test_equal_states(self):

@@ -7,13 +7,16 @@ import pytest
 from _helpers import diagonal_channel, random_state_mat
 from renyicq.centers import holevo_quantity, solve_center_D
 from renyicq.channels import (
+    GcqChannel,
     InputDistribution,
     TypeClass,
+    average_output,
     noiseless_channel,
+    parse_preset,
     random_cq_channel,
 )
 from renyicq.classical import ClassicalChannel, classical_divergence
-from renyicq.divergences import RenyiParams, umegaki
+from renyicq.divergences import RenyiParams, d_max, umegaki
 from renyicq.exponents import (
     RadiusCache,
     clipped_trace,
@@ -122,6 +125,71 @@ class TestScExponent:
         for rate in np.linspace(0.7 * hol, 1.6 * hol, 4):
             mine, _ = sc_exponent(w, p, float(rate), cache=cache)
             assert mine == pytest.approx(oracle.sc_exponent(float(rate)), abs=1e-6)
+
+
+def _isometric_copy(w, v):
+    return GcqChannel({s: v @ w.output(s).mat @ v.conj().T for s in w.alphabet})
+
+
+def _haar_isometry(rng, rows, cols):
+    g = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+    q, r = np.linalg.qr(g)
+    return (q * (r.diagonal() / np.abs(r.diagonal())))[:, :cols]
+
+
+def _weighted_dmax(w, p, sigma):
+    return sum(prob * d_max(w.output(s), sigma) for s, prob in p.items() if prob > 0.0)
+
+
+class TestChiInf:
+    def test_noiseless_is_log_two(self):
+        w, p = noiseless_channel(2)
+        assert RadiusCache(w, p).chi_inf() == pytest.approx(LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_classical_oracle(self, seed):
+        w, p, rows, weights = diagonal_channel(np.random.default_rng(seed))
+        want = ClassicalChannel(rows, weights).dmax_radius()
+        assert RadiusCache(w, p).chi_inf() == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("token", ["random:2:3:9", "random:4:4:7"])
+    def test_unitary_invariance(self, token):
+        w, p = parse_preset(token)
+        u = _haar_isometry(np.random.default_rng(5), w.dim, w.dim)
+        rotated = RadiusCache(_isometric_copy(w, u), p).chi_inf()
+        assert rotated == pytest.approx(RadiusCache(w, p).chi_inf(), abs=1e-10)
+
+    def test_isometric_embedding_invariance(self):
+        w, p = parse_preset("random:2:3:7")
+        v = _haar_isometry(np.random.default_rng(6), 3, 2)
+        cache = RadiusCache(_isometric_copy(w, v), p)
+        assert cache.chi_inf() == pytest.approx(RadiusCache(w, p).chi_inf(), abs=1e-10)
+        center = cache.chi_inf_center.mat
+        assert np.trace(v.conj().T @ center @ v).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_bracketed_by_finite_order_and_candidate_states(self, random_channel):
+        w, p, cache = random_channel
+        value = cache.chi_inf()
+        assert cache.chi(64.0) <= value + 1e-12
+        candidates = (average_output(w, p), DensityOperator(np.eye(w.dim) / w.dim),
+                      cache.result(64.0).center)
+        for sigma in candidates:
+            assert value <= _weighted_dmax(w, p, sigma) + 1e-12
+
+    def test_below_previous_ladder_value_at_d8(self):
+        # The former Nelder-Mead temperature ladder stopped at 0.505133.
+        w, p = parse_preset("random:8:4:7")
+        assert RadiusCache(w, p).chi_inf() < 0.50490
+
+    @pytest.mark.parametrize("token", ["random:2:3:7", "random:4:4:7"])
+    def test_value_attained_by_kept_center(self, token):
+        w, p = parse_preset(token)
+        cache = RadiusCache(w, p)
+        assert cache.chi_inf_center is None
+        value = cache.chi_inf()
+        center = cache.chi_inf_center
+        assert center.trace() == pytest.approx(1.0, abs=1e-12)
+        assert abs(_weighted_dmax(w, p, center) - value) <= 1e-12
 
 
 class TestScCurve:
