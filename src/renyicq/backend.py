@@ -1,0 +1,77 @@
+"""The sweep kernel of the center fixed-point maps.
+
+One sweep forms, for every symbol x,
+
+    G_x = (sigma^spow W_x^pow sigma^spow)^z,    spow = (1 - alpha) / 2z,
+
+from the pre-powered outputs ``wpows[x] = W_x^(alpha/z)``.  The sandwiches
+are stacked and diagonalized by one batched ``eigh``.  Every power is taken
+in the log domain, (u / u_max)^z = exp(z (log u - log u_max)), with the
+scale kept apart in log Tr G_x, so no order over- or underflows.  The
+center maps (``centers._assemble``) are weighted sums of the normalized
+G_x / Tr G_x.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Relative eigenvalue cutoff used inside the sweeps.  The solvers iterate on
+# the compressed, positive-definite support subspace, so this acts only as a
+# roundoff guard and is tighter than the public support cutoff.
+EIG_CUTOFF = 1e-14
+
+
+def _sandwiches(sigma, wpows, spow):
+    """The stacked Hermitian c^-2 sigma^spow W_x sigma^spow and log c^2.
+
+    c is the largest eigenvalue of sigma^spow on sigma's support, so no
+    factor of the scaled power exceeds 1.
+    """
+    w, v = np.linalg.eigh(sigma)
+    on = w > max(float(w[-1]), 0.0) * EIG_CUTOFF
+    e = spow * np.log(w[on])
+    shift = float(e.max()) if e.size else 0.0
+    s_half = (v[:, on] * np.exp(e - shift)) @ v[:, on].conj().T
+    a = s_half @ wpows @ s_half
+    return 0.5 * (a + a.conj().swapaxes(-1, -2)), 2.0 * shift
+
+
+def _log_powers(u, z, log_scale):
+    """Normalized powers u^z / sum u^z and log sum u^z of stacked ascending
+    spectra u (m, k) scaled by e^log_scale, on each spectrum's support.
+
+    A spectrum with no positive eigenvalue gives a zero row and -inf.
+    """
+    top = u[:, -1]
+    live = top > 0.0
+    top = np.where(live, top, 1.0)[:, None]
+    on = u > top * EIG_CUTOFF
+    f = np.where(on, u / top, 0.0) ** z
+    # Each live row holds (u_max/u_max)^z = 1, so its total is at least 1.
+    total = np.maximum(f.sum(axis=1), 1.0)
+    logq = np.where(live, z * (np.log(top[:, 0]) + log_scale) + np.log(total), -np.inf)
+    return f / total[:, None], logq
+
+
+def center_sweep(sigma, wpows, z, spow):
+    """One pass of the center maps over all symbols.
+
+    Arguments: sigma (k,k) Hermitian PSD; wpows (m,k,k) the pre-powered
+    channel outputs W(x)^(alpha/z); z the outer exponent; spow the one-sided
+    sigma exponent (1-alpha)/(2z).
+
+    Returns (ghat, logq): ghat[x] = G_x / Tr G_x and logq[x] = log Tr G_x.
+    A symbol with G_x = 0 gives a zero ghat[x] and logq[x] = -inf; callers
+    must inspect logq.
+    """
+    a, log_scale = _sandwiches(sigma, wpows, spow)
+    u, uv = np.linalg.eigh(a)
+    f, logq = _log_powers(u, z, log_scale)
+    return (uv * f[:, None, :]) @ uv.conj().swapaxes(-1, -2), logq
+
+
+def q_sweep(sigma, wpows, z, spow):
+    """log Tr (sigma^spow W_x^pow sigma^spow)^z for every symbol (values only)."""
+    a, log_scale = _sandwiches(sigma, wpows, spow)
+    return _log_powers(np.linalg.eigvalsh(a), z, log_scale)[1]

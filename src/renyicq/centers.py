@@ -3,7 +3,10 @@
 The headline solvers iterate the center fixed-point maps with adaptive
 damping; nothing here assumes the iteration contracts, so every solve is
 guarded by a direct-minimization fallback and results carry an explicit
-``converged`` flag plus a fixed-point residual.  A brute-force oracle
+``converged`` flag plus a fixed-point residual.  Every map, on the
+compressed support during a solve and on the full space in the public
+``fixed_point_map_*``, is assembled by `_assemble` from one call of the
+log-domain sweep kernel ``backend.center_sweep``.  A brute-force oracle
 (`oracle_grid_center`) provides an independent check at small dimension.
 """
 
@@ -67,33 +70,45 @@ class CenterResult:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
+def _powered_outputs(w: GcqChannel, p: InputDistribution, params: RenyiParams):
+    """Supported symbols, their probabilities and the stacked W(x)^(alpha/z)."""
+    symbols = p.support
+    probs = np.array([p.probability(s) for s in symbols])
+    wpows = np.stack(
+        [support_power(w.output(s), params.alpha / params.z).mat for s in symbols]
+    )
+    return symbols, probs, wpows
+
+
 def _compressed_problem(w: GcqChannel, p: InputDistribution, params: RenyiParams):
     """Restrict the solve to ran W(P)^0 and pre-power the outputs."""
     avg = average_output(w, p)
     wa, va = avg.eig
     keep = wa > float(wa[-1]) * SUPPORT_RTOL
     iso = va[:, keep]
-    symbols = p.support
-    probs = np.array([p.probability(s) for s in symbols])
-    a, z = params.alpha, params.z
-    wpows = np.stack(
-        [iso.conj().T @ support_power(w.output(s), a / z).mat @ iso for s in symbols]
-    )
+    symbols, probs, wpows = _powered_outputs(w, p, params)
+    wpows = iso.conj().T @ wpows @ iso
     sigma0 = iso.conj().T @ avg.mat @ iso
     sigma0 = 0.5 * (sigma0 + sigma0.conj().T)
     w_traces = np.array([w.output(s).trace() for s in symbols])
     return iso, symbols, probs, wpows, sigma0, w_traces
 
 
-def _assemble(kind, phi_d, phi_t, probs, q):
+def _assemble(kind, ghat, logq, probs):
+    """One center map from a sweep's normalized terms ghat[x] = G_x / Tr G_x.
+
+    D weighs them by P(x); Q-bar by P(x) Tr G_x / sum_y P(y) Tr G_y; the
+    unnormalized Tsallis map by P(x) Tr G_x.
+    """
     if kind == "D":
-        tr = float(np.trace(phi_d).real)
-        if abs(tr - 1.0) > 1e-12:
-            phi_d = phi_d / tr
-        return phi_d
-    if kind == "Qbar":
-        return phi_t / float(probs @ q)
-    return phi_t
+        weights = probs
+    elif kind == "Qbar":
+        log_weights = np.log(probs) + logq
+        weights = np.exp(log_weights - log_weights.max())
+        weights /= weights.sum()
+    else:
+        weights = probs * np.exp(logq)
+    return np.tensordot(weights, ghat, axes=1)
 
 
 def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
@@ -114,12 +129,12 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     it = 0
     while it < max_iter:
         it += 1
-        phi_d, phi_t, q = backend.center_sweep(sigma, wpows, probs, z, spow)
-        if q.min() <= 0.0:
+        ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
+        if np.isneginf(logq).any():
             raise SingularInputError(
                 "a supported symbol has vanishing overlap with the iterate"
             )
-        phi = _assemble(kind, phi_d, phi_t, probs, q)
+        phi = _assemble(kind, ghat, logq, probs)
         diff = phi - sigma
         res_f = float(np.linalg.norm(diff))
         scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
@@ -157,8 +172,8 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
         if normalized:
             sigma = sigma / float(np.trace(sigma).real)
 
-    phi_d, phi_t, q = backend.center_sweep(sigma, wpows, probs, z, spow)
-    phi = _assemble(kind, phi_d, phi_t, probs, q)
+    ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
+    phi = _assemble(kind, ghat, logq, probs)
     return sigma, it, trace_norm(phi - sigma), False
 
 
@@ -251,21 +266,21 @@ def _check_support_match(sigma, w, p):
         raise ValueError("sigma must have the same support as W(P)")
 
 
-def _map_terms(w, p, params, sigma):
+def _full_space_map(kind, w, p, params, sigma, op):
+    """One step of a center map on the full space, by the solvers' kernel."""
+    _require_finite_z(params, op)
+    sigma = herm(sigma)
+    if not sigma.is_psd():
+        raise ValueError(f"{op} requires a PSD sigma")
+    if kind != "T":
+        _check_support_match(sigma, w, p)
+    symbols, probs, wpows = _powered_outputs(w, p, params)
     a, z = params.alpha, params.z
-    shalf = support_power(herm(sigma), (1.0 - a) / (2.0 * z)).mat
-    terms = []
-    for sym, prob in p.items():
-        if prob == 0.0:
-            continue
-        wpow = support_power(w.output(sym), a / z).mat
-        inner = shalf @ wpow @ shalf
-        g = support_power(HermitianOperator(inner), z)
-        qx = g.trace()
-        if qx <= 0.0:
-            raise SingularInputError(f"Q vanished for supported symbol {sym!r}")
-        terms.append((prob, qx, g.mat))
-    return terms
+    ghat, logq = backend.center_sweep(sigma.mat, wpows, z, (1.0 - a) / (2.0 * z))
+    if kind != "T" and np.isneginf(logq).any():
+        sym = symbols[int(np.argmax(np.isneginf(logq)))]
+        raise SingularInputError(f"Q vanished for supported symbol {sym!r}")
+    return _assemble(kind, ghat, logq, probs)
 
 
 def fixed_point_map_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
@@ -273,47 +288,23 @@ def fixed_point_map_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     """One application of the per-symbol-normalized center map.
 
     Phi(sigma) = sum_x P(x) Q_x^{-1} (sigma^{(1-a)/2z} W(x)^{a/z}
-    sigma^{(1-a)/2z})^z; analytically trace preserving, renormalized only if
-    roundoff drifts the trace by more than 1e-12.
+    sigma^{(1-a)/2z})^z; trace preserving.
     """
-    _require_finite_z(params, "fixed_point_map_D")
-    _check_support_match(sigma, w, p)
-    acc = np.zeros((w.dim, w.dim), dtype=complex)
-    for prob, qx, g in _map_terms(w, p, params, sigma):
-        acc += (prob / qx) * g
-    tr = float(np.trace(acc).real)
-    if abs(tr - 1.0) > 1e-12:
-        acc = acc / tr
-    return DensityOperator(acc)
+    return DensityOperator(_full_space_map("D", w, p, params, sigma, "fixed_point_map_D"))
 
 
 def fixed_point_map_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                          sigma: DensityOperator) -> DensityOperator:
     """One application of the globally-normalized center map."""
-    _require_finite_z(params, "fixed_point_map_Qbar")
-    _check_support_match(sigma, w, p)
-    acc = np.zeros((w.dim, w.dim), dtype=complex)
-    tau = 0.0
-    for prob, qx, g in _map_terms(w, p, params, sigma):
-        acc += prob * g
-        tau += prob * qx
-    return DensityOperator(acc / tau)
+    return DensityOperator(
+        _full_space_map("Qbar", w, p, params, sigma, "fixed_point_map_Qbar"))
 
 
 def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                             sigma: HermitianOperator) -> HermitianOperator:
     """One application of the unnormalized (PSD power-mean) map."""
-    _require_finite_z(params, "fixed_point_map_tsallis")
-    acc = np.zeros((w.dim, w.dim), dtype=complex)
-    a, z = params.alpha, params.z
-    shalf = support_power(herm(sigma), (1.0 - a) / (2.0 * z)).mat
-    for sym, prob in p.items():
-        if prob == 0.0:
-            continue
-        wpow = support_power(w.output(sym), a / z).mat
-        inner = shalf @ wpow @ shalf
-        acc += prob * support_power(HermitianOperator(inner), z).mat
-    return HermitianOperator(acc)
+    return HermitianOperator(
+        _full_space_map("T", w, p, params, sigma, "fixed_point_map_tsallis"))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +341,8 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind, fallback=True):
         if obj(_pack_cholesky(sigma_nm)) < obj(_pack_cholesky(sigma)):
             sigma = sigma_nm
             method = DIRECT_MINIMIZATION
-        phi_d, phi_t, q = backend.center_sweep(sigma, wpows, probs, z, spow)
-        residual = trace_norm(_assemble(kind, phi_d, phi_t, probs, q) - sigma)
+        ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
+        residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
         scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
         ok = residual <= tol * scale
     return iso, sigma, iters, residual, ok, method
@@ -370,11 +361,12 @@ def _compressed_objective(kind, wpows, probs, z, spow, alpha, w_traces, normaliz
             sig = sigma / tr
         else:
             sig = sigma
-        q = backend.q_sweep(sig, wpows, z, spow)
+        logq = backend.q_sweep(sig, wpows, z, spow)
         if kind == "D":
-            if q.min() <= 0.0:
+            if np.isneginf(logq).any():
                 return 1e300
-            return float(np.sum(probs * np.log(q / w_traces)) / (alpha - 1.0))
+            return float(probs @ (logq - np.log(w_traces)) / (alpha - 1.0))
+        q = np.exp(logq)
         if kind == "Qbar":
             return sign * float(probs @ q)
         # Tsallis: minimized over unnormalized PSD sigma

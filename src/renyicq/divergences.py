@@ -264,13 +264,17 @@ def umegaki(rho: HermitianOperator, sigma: HermitianOperator) -> float:
 
 def d_max(rho: HermitianOperator, sigma: HermitianOperator) -> float:
     """Max-relative entropy: log of the largest eigenvalue of
-    sigma^{-1/2} (rho/Tr rho) sigma^{-1/2} on the support of sigma."""
+    sigma^{-1/2} rho sigma^{-1/2} on the support of sigma.
+
+    rho is not normalized, so this is the alpha -> inf limit of
+    :func:`d_alpha_z` also for Tr rho != 1.
+    """
     rho, sigma = herm(rho), herm(sigma)
-    tr = _check_nonzero(rho, "d_max")
+    _check_nonzero(rho, "d_max")
     if not support_dominated(rho, sigma):
         return SUPPORT_INF
     inv_half = support_power(sigma, -0.5).mat
-    m = inv_half @ (rho.mat / tr) @ inv_half
+    m = inv_half @ rho.mat @ inv_half
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     top = float(w[-1])
     if top <= 0.0:

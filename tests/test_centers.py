@@ -36,6 +36,7 @@ from renyicq.channels import (
 )
 from renyicq.divergences import INF_Z, RenyiParams, d_alpha_z, umegaki
 from renyicq.exceptions import SingularInputError
+from renyicq.exponents import RadiusCache
 from renyicq.operators import (
     DensityOperator,
     HermitianOperator,
@@ -131,6 +132,16 @@ class TestSolveCenterD:
         w, p = random_cq_channel(2, 3, rng)
         res = solve_center_D(w, p, RenyiParams.sandwiched(64.0))
         assert res.converged
+
+    def test_order_1024_stays_finite(self):
+        # (u/u_max)^z with log u_max kept apart: no power of the sweep over-
+        # or underflows, so the solve neither raises nor leaves the bracket
+        # chi*_256 <= chi*_1024 <= chi_inf.
+        w, p = random_cq_channel(2, 3, np.random.default_rng(11))
+        res = solve_center_D(w, p, RenyiParams.sandwiched(1024.0))
+        low = solve_center_D(w, p, RenyiParams.sandwiched(256.0)).value
+        assert math.isfinite(res.value)
+        assert low <= res.value <= RadiusCache(w, p).chi_inf() + 1e-9
 
     def test_tiny_alpha_converges(self):
         # near alpha = 0 the attainable residual floors at ~eps/alpha, so the

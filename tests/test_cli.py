@@ -54,6 +54,9 @@ class TestCenterCommand:
         header, rows = read_csv(out)
         assert float(dict(zip(header, rows[0]))["value"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_large_order_on_d4_preset(self):
+        assert cli.main(["center", "--preset", "random:4:4:7", "--alpha", "600"]) == 0
+
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         bad = CenterResult(
             center=DensityOperator(np.eye(2) / 2), value=0.0, iterations=1,

@@ -168,6 +168,12 @@ class TestDMax:
     def test_support_violation(self):
         assert isinstance(d_max(PURE0, PURE1), SupportViolationInfinity)
 
+    def test_unnormalized_first_argument_is_large_order_limit(self):
+        rho = HermitianOperator(np.diag([1.2, 0.8]))
+        assert d_max(rho, HALF) == pytest.approx(math.log(2.4), abs=1e-12)
+        limit = d_alpha_z(rho, HALF, RenyiParams.sandwiched(1e6))
+        assert d_max(rho, HALF) == pytest.approx(limit, abs=1e-5)
+
 
 class TestTsallis:
     def test_equal_states(self):
