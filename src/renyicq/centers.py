@@ -1,9 +1,12 @@
 """Weighted divergence centers and radii of gcq channels.
 
-The headline solvers iterate the center fixed-point maps with adaptive
-damping; nothing here assumes the iteration contracts, so every solve is
-guarded by a direct-minimization fallback and results carry an explicit
-``converged`` flag plus a fixed-point residual.  Every map, on the
+The headline solvers iterate the center fixed-point maps in one loop,
+`_run_fixed_point`: safeguarded Anderson mixing over the adaptively damped
+map, which falls back to the plain damped step whenever a mixed iterate
+leaves the positive-definite cone or raises the residual.  Nothing here
+assumes the iteration contracts, so every solve is guarded by a
+direct-minimization fallback and results carry an explicit ``converged``
+flag plus a fixed-point residual.  Every map, on the
 compressed support during a solve and on the full space in the public
 ``fixed_point_map_*``, is assembled by `_assemble` from one call of the
 log-domain sweep kernel ``backend.center_sweep``.  A brute-force oracle
@@ -46,6 +49,11 @@ DEFAULT_MAX_ITER = 10000
 # to 2^-10, and for alpha << 1 switch to guarded extrapolation ~ 1/alpha.
 _GAMMA_FLOOR = 2.0 ** -10
 _GAMMA_CAP = 50.0
+
+# Anderson mixing (Walker & Ni 2011): residual differences kept, and the
+# relative smallest eigenvalue a mixed iterate needs to be accepted.
+_ANDERSON_DEPTH = 6
+_PD_RTOL = 1e-12
 
 
 @dataclass
@@ -111,8 +119,55 @@ def _assemble(kind, ghat, logq, probs):
     return np.tensordot(weights, ghat, axes=1)
 
 
+def _anderson_step(history, sigma, step):
+    """Anderson-mixed successor of sigma, or None for the plain damped step.
+
+    ``step`` is the damped image g(sigma) = sigma + gamma (Phi(sigma) - sigma).
+    The pair is appended to ``history`` (at most _ANDERSON_DEPTH + 1 pairs, as
+    real vectors of the real and imaginary parts).  With theta the least-
+    squares fit of the newest residual f = g - x by the residual differences,
+    the candidate is g - (Delta g) theta.  A candidate that is not finite and
+    positive definite, or a failed fit, resets the history to the newest pair.
+    """
+    k = sigma.shape[0]
+    history.append((sigma.ravel().view(float), step.ravel().view(float)))
+    del history[:-(_ANDERSON_DEPTH + 1)]
+    if len(history) < 2:
+        return None
+    xs = np.array([h[0] for h in history]).T
+    gs = np.array([h[1] for h in history]).T
+    fs = gs - xs
+    theta = None
+    if np.isfinite(fs).all():
+        try:
+            theta = np.linalg.lstsq(np.diff(fs, axis=1), fs[:, -1], rcond=None)[0]
+        except np.linalg.LinAlgError:
+            pass
+    if theta is not None and np.isfinite(theta).all():
+        cand = (gs[:, -1] - np.diff(gs, axis=1) @ theta).view(complex).reshape(k, k)
+        cand = 0.5 * (cand + cand.conj().T)
+        if np.isfinite(cand).all():
+            ev = np.linalg.eigvalsh(cand)
+            if ev[0] > _PD_RTOL * ev[-1] > 0.0:
+                return cand
+    del history[:-1]
+    return None
+
+
 def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
-    """Damped iteration of one of the three center maps on the compressed space.
+    """Safeguarded Anderson iteration of one of the three center maps on the
+    compressed space.
+
+    The base step is the damped map g(sigma) = sigma + gamma (Phi(sigma) - sigma)
+    with the adaptive gamma below; Anderson(_ANDERSON_DEPTH) mixing over the
+    recent damped steps replaces it whenever the mixed iterate is positive
+    definite (`_anderson_step`).  A mixed step whose residual grows by more
+    than 1.25x is undone and the history dropped; a plain step that does so
+    is undone and gamma halved.  No mixing while gamma > 1 (the alpha << 1
+    extrapolation, clipped to the PSD cone instead).  The unnormalized
+    Tsallis start is first scaled to its exact fixed trace.  The stop test is
+    the trace-norm residual of the returned iterate; ``iterations`` counts
+    sweeps.
 
     Returns (sigma, iterations, trace-norm residual, converged).
     """
@@ -123,6 +178,8 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     if normalized:
         sigma = sigma / float(np.trace(sigma).real)
     gamma = min(1.0, 1.0 / alpha)
+    history = []
+    mixed = False
     prev_sigma = None
     prev_res = math.inf
     stall = 0
@@ -134,9 +191,19 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             raise SingularInputError(
                 "a supported symbol has vanishing overlap with the iterate"
             )
-        phi = _assemble(kind, ghat, logq, probs)
-        diff = phi - sigma
-        res_f = float(np.linalg.norm(diff))
+        if kind == "T" and it == 1:
+            # The Tsallis map is homogeneous of degree 1 - alpha, so the scale
+            # c with Tr Phi(c sigma) = Tr(c sigma) is exact, and rescaling the
+            # start spares the damped iteration its walk to the fixed scale.
+            log_c = (float(np.logaddexp.reduce(np.log(probs) + logq))
+                     - math.log(float(np.trace(sigma).real))) / alpha
+            sigma = sigma * math.exp(log_c)
+            logq = logq + (1.0 - alpha) * log_c
+        # A mixed iterate far off in scale can overflow the unnormalized map;
+        # the non-finite residual then undoes the step below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = _assemble(kind, ghat, logq, probs) - sigma
+            res_f = float(np.linalg.norm(diff))
         scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
         if res_f * sqrt_k <= tol * scale:
             return sigma, it, trace_norm(diff), True
@@ -145,12 +212,14 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             if tn <= tol * scale:
                 return sigma, it, tn, True
 
-        if prev_sigma is not None and res_f > prev_res * 1.25 and gamma > _GAMMA_FLOOR:
-            sigma = prev_sigma
-            prev_sigma = None
-            gamma = max(0.5 * gamma, _GAMMA_FLOOR)
+        if prev_sigma is not None and not res_f <= prev_res * 1.25 and (
+                mixed or gamma > _GAMMA_FLOOR):
+            # Undo the step; the previous iterate's sweep is still at hand.
+            if not mixed:
+                gamma = max(0.5 * gamma, _GAMMA_FLOOR)
+            sigma, diff, res_f = prev_sigma, prev_diff, prev_res
+            history.clear()
             stall = 0
-            continue
 
         if res_f >= prev_res * (1.0 - 1e-3):
             stall += 1
@@ -158,14 +227,17 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             stall = 0
         if stall >= 10:
             gamma = max(0.5 * gamma, _GAMMA_FLOOR)
+            history.clear()
             stall = 0
         if alpha < 0.1 and gamma == 1.0 and it >= 40:
             gamma = min(1.0 / alpha, _GAMMA_CAP)
 
-        prev_sigma = sigma
-        prev_res = res_f
-        sigma = sigma + gamma * diff
-        sigma = 0.5 * (sigma + sigma.conj().T)
+        prev_sigma, prev_diff, prev_res = sigma, diff, res_f
+        step = sigma + gamma * diff
+        step = 0.5 * (step + step.conj().T)
+        cand = _anderson_step(history, sigma, step) if gamma <= 1.0 else None
+        mixed = cand is not None
+        sigma = cand if mixed else step
         if gamma > 1.0:
             wv, vv = np.linalg.eigh(sigma)
             sigma = (vv * np.clip(wv, 0.0, None)) @ vv.conj().T
@@ -382,9 +454,9 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                    sigma0=None, fallback: bool = True) -> CenterResult:
     """Weighted divergence center and radius chi_{alpha,z}(W, P).
 
-    Damped fixed-point iteration from W(P) restricted to its support, with a
-    direct-minimization fallback.  Outside the proven parameter region the
-    result is stamped ``heuristic``.
+    Anderson-mixed damped fixed-point iteration from W(P) restricted to its
+    support, with a direct-minimization fallback.  Outside the proven
+    parameter region the result is stamped ``heuristic``.
     """
     _require_finite_z(params, "solve_center_D")
     report = classify_region(params)
@@ -431,7 +503,7 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParam
     signed = _signed_q_radius(w, p, params, normalized)
     tr_wp = average_output(w, p).trace()
     a = params.alpha
-    value = (a / (1.0 - a)) * (tr_wp - signed ** (1.0 / a))
+    value = (a / (1.0 - a)) * (tr_wp - (params.s * signed) ** (1.0 / a))
     return CenterResult(center, value, iters, residual, ok, method, heuristic)
 
 

@@ -31,10 +31,11 @@ from renyicq.channels import (
     average_output,
     noiseless_channel,
     product_channel,
+    parse_preset,
     product_distribution,
     random_cq_channel,
 )
-from renyicq.divergences import INF_Z, RenyiParams, d_alpha_z, umegaki
+from renyicq.divergences import INF_Z, RenyiParams, d_alpha_z, tsallis, umegaki
 from renyicq.exceptions import SingularInputError
 from renyicq.exponents import RadiusCache
 from renyicq.operators import (
@@ -142,6 +143,35 @@ class TestSolveCenterD:
         low = solve_center_D(w, p, RenyiParams.sandwiched(256.0)).value
         assert math.isfinite(res.value)
         assert low <= res.value <= RadiusCache(w, p).chi_inf() + 1e-9
+
+    def test_order_600_converges_by_fixed_point(self):
+        w, p = parse_preset("random:2:3:7")
+        res = solve_center_D(w, p, RenyiParams.sandwiched(600.0))
+        assert res.converged and res.method == FIXED_POINT
+
+    def test_order_1024_converges_by_fixed_point(self):
+        w, p = random_cq_channel(2, 3, np.random.default_rng(11))
+        res = solve_center_D(w, p, RenyiParams.sandwiched(1024.0))
+        assert res.converged and res.method == FIXED_POINT
+
+    # Sweeps of the plain damped iteration (damping 1/alpha) from W(P).
+    @pytest.mark.parametrize("dim,alpha,damped", [
+        (2, 64.0, 1181), (2, 256.0, 4746),
+        (4, 64.0, 698), (4, 256.0, 2864),
+        (8, 64.0, 942), (8, 256.0, 3816),
+    ])
+    def test_mixing_cuts_large_order_sweeps(self, dim, alpha, damped):
+        w, p = parse_preset(f"random:{dim}:3:7")
+        res = solve_center_D(w, p, RenyiParams.sandwiched(alpha))
+        assert res.converged and res.method == FIXED_POINT
+        assert res.iterations <= damped // 4
+
+    def test_petz_below_one_tenth_converges(self):
+        # needs the over-relaxed step gamma ~ 1/alpha that takes over once
+        # the mixed iteration has not converged after 40 sweeps
+        w, p = parse_preset("random:4:4:7")
+        res = solve_center_D(w, p, RenyiParams.petz(0.09))
+        assert res.converged and res.method == FIXED_POINT
 
     def test_tiny_alpha_converges(self):
         # near alpha = 0 the attainable residual floors at ~eps/alpha, so the
@@ -280,6 +310,27 @@ class TestSolveCenterTsallis:
         total = sum(prob * q_alpha_z(w.output(s), res.center, params)
                     for s, prob in p.items())
         assert res.center.trace() == pytest.approx(total, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0 / 3.0, 0.7, 2.0])
+    def test_value_is_weighted_tsallis_divergence(self, alpha):
+        w, p = parse_preset("random:2:3:7")
+        params = RenyiParams.petz(alpha)
+        res = solve_center_tsallis(w, p, params)
+        assert isinstance(res.value, float)
+        want = sum(prob * tsallis(w.output(s), res.center, params) for s, prob in p.items())
+        assert res.value == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("preset", ["random:2:3:1", "random:4:3:4", "random:8:3:2"])
+    def test_large_order_matches_qbar_center(self, preset):
+        # the unnormalized map is homogeneous of degree 1 - alpha = -63: the
+        # solve must neither raise from a mixed step off the fixed scale nor
+        # settle on a rank-deficient fixed point
+        w, p = parse_preset(preset)
+        params = RenyiParams.sandwiched(64.0)
+        res = solve_center_tsallis(w, p, params)
+        qb = solve_center_Qbar(w, p, params)
+        assert res.converged and math.isfinite(res.value)
+        assert np.abs(res.center.mat / res.center.trace() - qb.center.mat).max() < 1e-8
 
     def test_map_is_unnormalized(self):
         w, p = noiseless_channel(2)

@@ -57,6 +57,9 @@ class TestCenterCommand:
     def test_large_order_on_d4_preset(self):
         assert cli.main(["center", "--preset", "random:4:4:7", "--alpha", "600"]) == 0
 
+    def test_large_order_on_qubit_preset(self):
+        assert cli.main(["center", "--preset", "random:2:3:7", "--alpha", "600"]) == 0
+
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         bad = CenterResult(
             center=DensityOperator(np.eye(2) / 2), value=0.0, iterations=1,
