@@ -9,8 +9,12 @@ direct-minimization fallback and results carry an explicit ``converged``
 flag plus a fixed-point residual.  Every map, on the
 compressed support during a solve and on the full space in the public
 ``fixed_point_map_*``, is assembled by `_assemble` from one call of the
-log-domain sweep kernel ``backend.center_sweep``.  A brute-force oracle
-(`oracle_grid_center`) provides an independent check at small dimension.
+log-domain sweep kernel ``backend.center_sweep``.
+
+That fallback, `solve_center_direct`, `weighted_radius_beta` and
+`mutual_information_direct` all search states by ``optimize.minimize_states``.
+A brute-force oracle (`oracle_grid_center`) provides an independent check
+at small dimension.
 """
 
 from __future__ import annotations
@@ -20,21 +24,21 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import backend
 from .channels import GcqChannel, InputDistribution, average_output, lifted_state
 from .divergences import RenyiParams, classify_region, d_alpha_z, q_alpha_z, umegaki
 from .exceptions import SingularInputError
 from .operators import (
-    SUPPORT_RTOL,
     DensityOperator,
     HermitianOperator,
     herm,
+    support_isometry,
     support_power,
     support_projection,
     trace_norm,
 )
+from .optimize import factor, minimize_states, pack, unpack
 
 FIXED_POINT = "fixed_point"
 CLOSED_FORM_Z1 = "closed_form_z1"
@@ -91,9 +95,7 @@ def _powered_outputs(w: GcqChannel, p: InputDistribution, params: RenyiParams):
 def _compressed_problem(w: GcqChannel, p: InputDistribution, params: RenyiParams):
     """Restrict the solve to ran W(P)^0 and pre-power the outputs."""
     avg = average_output(w, p)
-    wa, va = avg.eig
-    keep = wa > float(wa[-1]) * SUPPORT_RTOL
-    iso = va[:, keep]
+    iso = support_isometry(avg)
     symbols, probs, wpows = _powered_outputs(w, p, params)
     wpows = iso.conj().T @ wpows @ iso
     sigma0 = iso.conj().T @ avg.mat @ iso
@@ -249,52 +251,6 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     return sigma, it, trace_norm(phi - sigma), False
 
 
-def _pack_cholesky(sigma):
-    k = sigma.shape[0]
-    jitter = max(float(np.trace(sigma).real), 1.0) * 1e-12
-    ell = np.linalg.cholesky(sigma + jitter * np.eye(k))
-    parts = [ell.diagonal().real]
-    for i in range(1, k):
-        parts.append(ell[i, :i].real)
-        parts.append(ell[i, :i].imag)
-    return np.concatenate(parts)
-
-
-def _unpack_cholesky(theta, k):
-    ell = np.zeros((k, k), dtype=complex)
-    ell[np.diag_indices(k)] = theta[:k]
-    pos = k
-    for i in range(1, k):
-        re = theta[pos:pos + i]
-        pos += i
-        im = theta[pos:pos + i]
-        pos += i
-        ell[i, :i] = re + 1j * im
-    return ell @ ell.conj().T
-
-
-def _nm_minimize(objective, k, starts, maxfev=20000, fatol=1e-14, xatol=1e-10):
-    best_x, best_f = None, math.inf
-    for s in starts:
-        res = optimize.minimize(
-            objective,
-            _pack_cholesky(s),
-            method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol},
-        )
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    return _unpack_cholesky(best_x, k), best_f
-
-
-def _fallback_starts(sigma_last, sigma0, k, seed=7):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    rand = g @ g.conj().T
-    rand /= float(np.trace(rand).real)
-    return [sigma_last, sigma0, np.eye(k) / k, rand]
-
-
 def _embed(iso, sigma):
     return iso @ sigma @ iso.conj().T
 
@@ -383,9 +339,8 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _solve_common(w, p, params, tol, max_iter, sigma0, kind, fallback=True):
+def _solve_common(w, p, params, tol, max_iter, sigma0, kind):
     iso, symbols, probs, wpows, sig0c, w_traces = _compressed_problem(w, p, params)
-    k = sig0c.shape[0]
     a, z = params.alpha, params.z
     spow = (1.0 - a) / (2.0 * z)
     normalized = kind in ("D", "Qbar")
@@ -401,17 +356,17 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind, fallback=True):
         wpows, probs, sig_start, z, spow, a, tol, max_iter, kind
     )
     method = FIXED_POINT
-    if not ok and fallback:
-        sigma_nm, _ = _nm_minimize(
-            _compressed_objective(kind, wpows, probs, z, spow, a, w_traces, normalized),
-            k,
-            _fallback_starts(sigma, sig0c, k),
-        )
-        if normalized:
-            sigma_nm = sigma_nm / float(np.trace(sigma_nm).real)
-        obj = _compressed_objective(kind, wpows, probs, z, spow, a, w_traces, False)
-        if obj(_pack_cholesky(sigma_nm)) < obj(_pack_cholesky(sigma)):
+    if not ok:
+        objective = _fallback_objective(kind, wpows, probs, z, spow, a, w_traces)
+        sigma_nm, value = minimize_states(objective, [sigma, sig0c])
+        if value < objective(sigma / float(np.trace(sigma).real)):
             sigma = sigma_nm
+            if kind == "T":
+                # The Tsallis center is the Q-bar center at its fixed scale c,
+                # c^alpha = sum_x P(x) Q_x (as in _run_fixed_point).
+                logq = backend.q_sweep(sigma, wpows, z, spow)
+                sigma = sigma * math.exp(
+                    float(np.logaddexp.reduce(np.log(probs) + logq)) / a)
             method = DIRECT_MINIMIZATION
         ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
         residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
@@ -420,38 +375,27 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind, fallback=True):
     return iso, sigma, iters, residual, ok, method
 
 
-def _compressed_objective(kind, wpows, probs, z, spow, alpha, w_traces, normalize):
+def _fallback_objective(kind, wpows, probs, z, spow, alpha, w_traces):
+    """The fallback's objective on unit-trace states: the D radius, or the
+    signed Q-bar radius s(alpha) sum_x P(x) Q_x for Q-bar and Tsallis."""
+    log_traces = np.log(w_traces)
     sign = -1.0 if alpha < 1.0 else 1.0
 
-    def objective(theta):
-        k = wpows.shape[1]
-        sigma = _unpack_cholesky(theta, k)
-        tr = float(np.trace(sigma).real)
-        if tr <= 0.0 or not np.isfinite(tr):
-            return 1e300
-        if normalize or kind in ("D", "Qbar"):
-            sig = sigma / tr
-        else:
-            sig = sigma
-        logq = backend.q_sweep(sig, wpows, z, spow)
-        if kind == "D":
-            if np.isneginf(logq).any():
-                return 1e300
-            return float(probs @ (logq - np.log(w_traces)) / (alpha - 1.0))
-        q = np.exp(logq)
-        if kind == "Qbar":
-            return sign * float(probs @ q)
-        # Tsallis: minimized over unnormalized PSD sigma
-        return float(
-            (alpha * (probs @ w_traces) + (1.0 - alpha) * tr - probs @ q) / (1.0 - alpha)
-        )
+    def objective(sigma):
+        logq = backend.q_sweep(sigma, wpows, z, spow)
+        if kind != "D":
+            return sign * float(probs @ np.exp(logq))
+        if np.isneginf(logq).any():
+            # A vanishing Q_x makes D infinite on either side of alpha = 1.
+            return math.inf
+        return float(probs @ (logq - log_traces) / (alpha - 1.0))
 
     return objective
 
 
 def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                   sigma0=None, fallback: bool = True) -> CenterResult:
+                   sigma0=None) -> CenterResult:
     """Weighted divergence center and radius chi_{alpha,z}(W, P).
 
     Anderson-mixed damped fixed-point iteration from W(P) restricted to its
@@ -462,7 +406,7 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     report = classify_region(params)
     heuristic = not (report.in_Gamma_D and report.second_arg_convex_D)
     iso, sigma, iters, residual, ok, method = _solve_common(
-        w, p, params, tol, max_iter, sigma0, "D", fallback
+        w, p, params, tol, max_iter, sigma0, "D"
     )
     center = DensityOperator(_embed(iso, sigma))
     value = weighted_divergence(w, p, params, center)
@@ -471,13 +415,13 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
 
 def solve_center_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                       tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      sigma0=None, fallback: bool = True) -> CenterResult:
+                      sigma0=None) -> CenterResult:
     """Weighted Q-bar center; ``value`` is the signed radius chi_Qbar."""
     _require_finite_z(params, "solve_center_Qbar")
     report = classify_region(params)
     heuristic = not (report.in_Gamma_Qbar and report.second_arg_convex_Qbar)
     iso, sigma, iters, residual, ok, method = _solve_common(
-        w, p, params, tol, max_iter, sigma0, "Qbar", fallback
+        w, p, params, tol, max_iter, sigma0, "Qbar"
     )
     center = DensityOperator(_embed(iso, sigma))
     value = _signed_q_radius(w, p, params, center)
@@ -486,7 +430,7 @@ def solve_center_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
 
 def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                         sigma0=None, fallback: bool = True) -> CenterResult:
+                         sigma0=None) -> CenterResult:
     """PSD Tsallis center (unnormalized) and the Tsallis radius.
 
     At the fixed point Tr sigma* equals the weighted Q-value, and
@@ -496,7 +440,7 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParam
     report = classify_region(params)
     heuristic = not (report.in_Gamma_Qbar and report.second_arg_convex_Qbar)
     iso, sigma, iters, residual, ok, method = _solve_common(
-        w, p, params, tol, max_iter, sigma0, "T", fallback
+        w, p, params, tol, max_iter, sigma0, "T"
     )
     center = HermitianOperator(_embed(iso, sigma))
     normalized = DensityOperator(center.mat)
@@ -534,19 +478,9 @@ def solve_center_direct(w: GcqChannel, p: InputDistribution, params: RenyiParams
                         maxfev: int = 40000, seed: int = 7) -> CenterResult:
     """Direct minimization of F(sigma) over states (works for z = inf too)."""
     params.require_not_one("solve_center_direct")
-    d = w.dim
-
-    def objective(theta):
-        sigma = _unpack_cholesky(theta, d)
-        tr = float(np.trace(sigma).real)
-        if tr <= 0.0 or not np.isfinite(tr):
-            return 1e300
-        val = weighted_divergence(w, p, params, HermitianOperator(sigma / tr))
-        return val if math.isfinite(val) else 1e300
-
     avg = average_output(w, p)
-    starts = _fallback_starts(avg.mat / avg.trace(), avg.mat / avg.trace(), d, seed)
-    sigma, value = _nm_minimize(objective, d, starts, maxfev)
+    sigma, _ = minimize_states(lambda s: weighted_divergence(w, p, params, s),
+                               [avg.mat / avg.trace()], maxfev, seed=seed)
     center = DensityOperator(sigma)
     report = classify_region(params)
     return CenterResult(
@@ -651,11 +585,12 @@ def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams,
         value = weighted_divergence(w, p, params, center)
         return CenterResult(center, value, evals, step, True, ORACLE_GRID)
 
-    # Self-contained compass search; no scipy, no shared solver machinery.
+    # Own compass search; it shares only the Cholesky packing with the solvers.
     d = w.dim
 
     def objective(theta):
-        sigma = _unpack_cholesky(theta, d)
+        ell = unpack(theta)
+        sigma = ell @ ell.conj().T
         tr = float(np.trace(sigma).real)
         if tr <= 0.0:
             return 1e300
@@ -671,7 +606,7 @@ def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams,
         starts.append(s / float(np.trace(s).real))
     best_theta, best_val, evals = None, math.inf, 0
     for s in starts:
-        theta = _pack_cholesky(s)
+        theta = pack(factor(s))
         val = objective(theta)
         step = 0.3
         while step > 1e-5:
@@ -689,8 +624,8 @@ def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                 step *= 0.5
         if val < best_val:
             best_theta, best_val = theta, val
-    sigma = _unpack_cholesky(best_theta, d)
-    center = DensityOperator(sigma / float(np.trace(sigma).real))
+    ell = unpack(best_theta)
+    center = DensityOperator(ell @ ell.conj().T)
     value = weighted_divergence(w, p, params, center)
     return CenterResult(center, value, evals, math.nan, True, ORACLE_GRID)
 
@@ -738,7 +673,7 @@ def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6,
 
 
 def weighted_radius_beta(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                         beta: float, tol: float = 1e-8, maxfev: int = 60000) -> float:
+                         beta: float, maxfev: int = 60000) -> float:
     """(P, beta)-weighted radius: min over states of the P-weighted beta-norm
     of x -> D(W(x)||sigma).
 
@@ -755,25 +690,16 @@ def weighted_radius_beta(w: GcqChannel, p: InputDistribution, params: RenyiParam
     def dvals(sigma):
         return np.array([d_alpha_z(w.output(s), sigma, params) for s in supp])
 
-    def objective(theta):
-        sigma = _unpack_cholesky(theta, w.dim)
-        tr = float(np.trace(sigma).real)
-        if tr <= 0.0:
-            return 1e300
-        dv = dvals(HermitianOperator(sigma / tr))
-        if not np.all(np.isfinite(dv)):
-            return 1e300
-        dv = np.maximum(dv, 0.0)
+    def objective(sigma):
+        dv = np.maximum(dvals(HermitianOperator(sigma)), 0.0)
         if math.isinf(beta):
             m = dv.max()
             return m + math.log(float(np.sum(np.exp(temp * (dv - m))))) / temp
         return float(np.sum(probs * dv ** beta) ** (1.0 / beta))
 
     anchor = solve_center_D(w, p, params)
-    starts = _fallback_starts(anchor.center.mat, average_output(w, p).mat, w.dim)
-    sigma, _ = _nm_minimize(objective, w.dim, starts, maxfev,
-                            fatol=min(1e-14, tol * 1e-4))
-    sigma = sigma / float(np.trace(sigma).real)
+    sigma, _ = minimize_states(objective, [anchor.center.mat, average_output(w, p).mat],
+                               maxfev)
     dv = np.maximum(dvals(HermitianOperator(sigma)), 0.0)
     if math.isinf(beta):
         return float(dv.max())
@@ -805,21 +731,12 @@ def mutual_information_direct(w: GcqChannel, p: InputDistribution, params: Renyi
     joint = lifted_state(w, p)
     supp = p.support
     pvec = np.array([p.probability(s) for s in supp])
-    d = w.dim
 
-    def objective(theta):
-        sigma = _unpack_cholesky(theta, d)
-        tr = float(np.trace(sigma).real)
-        if tr <= 0.0:
-            return 1e300
-        ref = HermitianOperator(np.kron(np.diag(pvec), sigma / tr))
-        val = d_alpha_z(joint, ref, params)
-        return val if math.isfinite(val) else 1e300
+    def objective(sigma):
+        return d_alpha_z(joint, HermitianOperator(np.kron(np.diag(pvec), sigma)), params)
 
     avg = average_output(w, p)
-    starts = _fallback_starts(avg.mat / avg.trace(), avg.mat / avg.trace(), d)
-    _, value = _nm_minimize(objective, d, starts, maxfev)
-    return float(value)
+    return minimize_states(objective, [avg.mat / avg.trace()], maxfev)[1]
 
 
 def stationarity_residual(w: GcqChannel, p: InputDistribution, params: RenyiParams,
@@ -828,9 +745,7 @@ def stationarity_residual(w: GcqChannel, p: InputDistribution, params: RenyiPara
     """Max |directional derivative| of F at the center along random traceless
     Hermitian directions inside the center's support (projected to states)."""
     rng = np.random.default_rng(0) if rng is None else rng
-    wc, vc = herm(center).eig
-    keep = wc > float(wc[-1]) * SUPPORT_RTOL
-    iso = vc[:, keep]
+    iso = support_isometry(center)
     k = iso.shape[1]
     worst = 0.0
     for _ in range(n_directions):

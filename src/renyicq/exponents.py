@@ -1,16 +1,18 @@
 """Operational exponent curves built on the weighted-center solvers.
 
 All rates and exponents are in nats.  The one-dimensional suprema over the
-order parameter run on a log-spaced grid with golden-section refinement
-around the grid argmax; the alpha -> 1 and alpha -> infinity endpoints use
-their exact formulas (relative entropy and max-relative entropy).
+order parameter run on a grid with golden-section refinement between the
+neighbours of the grid argmax (`_refined_grid_max`); the alpha -> 1 and
+alpha -> infinity endpoints use their exact formulas (relative entropy and
+max-relative entropy).
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
 D_max(W(x)||sigma), a convex problem.  It is solved by BFGS with exact
-gradients on a log-sum-exp smoothing whose temperature rises to 5e10; the
-reported value is the unsmoothed objective at the final state, hence an
-upper bound on chi_inf.
+gradients on a log-sum-exp smoothing whose temperature rises to 5e10, in
+the Cholesky parametrization of ``optimize.pack``/``unpack``; the reported
+value is the unsmoothed objective at the final state, hence an upper bound
+on chi_inf.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy.optimize import minimize
 
 from .centers import solve_center_D
 from .channels import GcqChannel, InputDistribution, TypeClass, average_output
 from .divergences import RenyiParams, d_alpha_z, q_alpha_z, umegaki
 from .exceptions import NonConvergenceError
-from .operators import SUPPORT_RTOL, DensityOperator, herm, support_projection
+from .operators import DensityOperator, herm, support_isometry, support_projection
+from .optimize import factor, pack, unpack
 
 DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
@@ -126,8 +129,7 @@ class RadiusCache:
         """
         if self._chi_inf is None:
             avg = average_output(self.w, self.p)
-            wa, va = avg.eig
-            iso = va[:, wa > float(wa[-1]) * SUPPORT_RTOL]
+            iso = support_isometry(avg)
             symbols = self.p.support
             probs = np.array([self.p.probability(s) for s in symbols])
             mats = np.stack([iso.conj().T @ self.w.output(s).mat @ iso for s in symbols])
@@ -157,19 +159,6 @@ def _dmax_radius(mats, probs, start):
     for the unit-trace sigma with the smallest exact F seen, the start
     included.
     """
-    k = start.shape[0]
-    diag = np.diag_indices(k)
-    tril = np.tril_indices(k, -1)
-
-    def pack(ell):
-        return np.concatenate([ell[diag].real, ell[tril].real, ell[tril].imag])
-
-    def unpack(theta):
-        ell = np.zeros((k, k), dtype=complex)
-        ell[diag] = theta[:k]
-        ell[tril] = theta[k:k + len(tril[0])] + 1j * theta[k + len(tril[0]):]
-        return ell
-
     def eigenpairs(ell):
         linv = np.linalg.inv(ell)
         lam, u = np.linalg.eigh(linv @ mats @ linv.conj().T)
@@ -202,12 +191,11 @@ def _dmax_radius(mats, probs, start):
             return math.inf
         return float(probs @ np.log(top)) if top.min() > 0.0 else math.inf
 
-    start = start / float(np.trace(start).real)
-    ell = np.linalg.cholesky(start + 1e-12 * np.eye(k))
+    ell = factor(start / float(np.trace(start).real))
     best, best_ell = exact(ell), ell
     for temp in _CHI_INF_TEMPS:
-        theta = optimize.minimize(smoothed, pack(best_ell), args=(temp,), jac=True,
-                                  method="BFGS", options={"gtol": 1e-10}).x
+        theta = minimize(smoothed, pack(best_ell), args=(temp,), jac=True,
+                         method="BFGS", options={"gtol": 1e-10}).x
         ell = unpack(theta)
         value = exact(ell)
         if value < best:
@@ -240,6 +228,15 @@ def _golden_max(f, lo, hi, iters):
             if fx > best_f:
                 best_x, best_f = x, fx
     return best_x, best_f
+
+
+def _refined_grid_max(f, grid, values, iters):
+    """Argmax of ``values`` on ``grid``, refined by golden section of f between
+    its grid neighbours; returns (grid index, best point, best value)."""
+    j = int(np.argmax(values))
+    lo = grid[max(j - 1, 0)]
+    hi = grid[min(j + 1, len(grid) - 1)]
+    return (j, *_golden_max(f, lo, hi, iters))
 
 
 def _sandwiched_grid(alpha_max, grid_points):
@@ -283,10 +280,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
         raise NonConvergenceError("no sandwiched radius evaluation converged")
     g_inf = rate - cache.chi_inf()
 
-    j = int(np.argmax(gs))
-    lo = us[max(j - 1, 0)]
-    hi = us[min(j + 1, len(us) - 1)]
-    u_star, g_star = _golden_max(g_of_u, lo, hi, refine_iters)
+    _, u_star, g_star = _refined_grid_max(g_of_u, us, gs, refine_iters)
     if g_inf >= g_star:
         value, argmax = g_inf, math.inf
     else:
@@ -342,10 +336,7 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     gs = [g(a) for a in grid]
     if not np.isfinite(gs).any():
         raise NonConvergenceError("no Petz radius evaluation converged")
-    j = int(np.argmax(gs))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    a_star, g_star = _golden_max(g, lo, hi, refine_iters)
+    j, _, g_star = _refined_grid_max(g, grid, gs, refine_iters)
     if j == 0:
         warnings.warn(
             "sphere-packing supremum attained at the alpha grid floor; "
@@ -384,11 +375,7 @@ def _random_coding_sup(w, p, rate, penalty, grid_points=41,
         return (alpha - 1.0) * (rate - _weighted_petz(w, p, avg, alpha) + penalty)
 
     grid = np.linspace(0.0, 1.0, grid_points)
-    gs = [g(a) for a in grid]
-    j = int(np.argmax(gs))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    _, g_star = _golden_max(g, lo, hi, refine_iters)
+    _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid], refine_iters)
     return max(0.0, float(g_star))
 
 

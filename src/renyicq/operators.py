@@ -144,6 +144,13 @@ def support_projection(a: HermitianOperator) -> HermitianOperator:
     return support_power(a, 0.0)
 
 
+def support_isometry(a: HermitianOperator) -> np.ndarray:
+    """Orthonormal eigenvectors of ``a`` (as columns) whose eigenvalues lie
+    above SUPPORT_RTOL * lambda_max, the cutoff of :func:`support_projection`."""
+    w, v = herm(a).eig
+    return v[:, w > float(w[-1]) * SUPPORT_RTOL]
+
+
 def spectral_clusters(a: HermitianOperator, gap: float = PINCH_GAP):
     """Indices of eigenvalues grouped into clusters separated by > gap."""
     w = herm(a).eigenvalues

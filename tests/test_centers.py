@@ -6,6 +6,8 @@ import pytest
 from _helpers import diagonal_channel, random_state_mat, scalar_center_map
 from renyicq.centers import (
     CLOSED_FORM_Z1,
+    DEFAULT_TOL,
+    DIRECT_MINIMIZATION,
     FIXED_POINT,
     ORACLE_GRID,
     closed_form_center_z1,
@@ -44,6 +46,7 @@ from renyicq.operators import (
     support_power,
     support_projection,
     trace_distance,
+    trace_norm,
 )
 
 SANDWICHED_2 = RenyiParams(2.0, 2.0)
@@ -401,6 +404,29 @@ class TestSolveCenterDirect:
         # commuting channel: same as the z = 1 weighted center problem
         reference = solve_center_D(w, p, RenyiParams(2.0, 1.0)).value
         assert abs(direct.value - reference) < 1e-5
+
+
+class TestDirectMinimizationFallback:
+    """One fixed-point sweep leaves a solve unconverged, so it falls back to
+    direct minimization over states."""
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.0])
+    @pytest.mark.parametrize("solver, phi", [
+        (solve_center_D, fixed_point_map_D),
+        (solve_center_Qbar, fixed_point_map_Qbar),
+        (solve_center_tsallis, fixed_point_map_tsallis),
+    ])
+    def test_forced_fallback(self, solver, phi, alpha):
+        w, p = parse_preset("random:2:3:7")
+        params = RenyiParams.sandwiched(alpha)
+        forced = solver(w, p, params, max_iter=1)
+        solved = solver(w, p, params)
+        assert solved.converged and solved.method == FIXED_POINT
+        assert forced.method == DIRECT_MINIMIZATION
+        assert abs(forced.value - solved.value) <= 1e-6
+        defect = trace_norm(phi(w, p, params, forced.center).mat - forced.center.mat)
+        assert forced.residual == pytest.approx(defect, rel=1e-6, abs=1e-15)
+        assert forced.converged == (forced.residual <= DEFAULT_TOL)
 
 
 class TestDivergenceRadius:

@@ -11,6 +11,7 @@ from renyicq.operators import (
     partial_trace,
     pinch,
     spectral_clusters,
+    support_isometry,
     support_power,
     support_projection,
     tensor,
@@ -84,6 +85,15 @@ class TestSupportPower:
         a = HermitianOperator(random_state_mat(rng, 3, rank=rank))
         prod = support_power(a, x).mat @ support_power(a, -x).mat
         assert np.abs(prod - support_projection(a).mat).max() < 1e-9
+
+
+def test_support_isometry_of_rank_deficient_state():
+    rng = np.random.default_rng(40)
+    rho = HermitianOperator(random_state_mat(rng, 4, rank=2))
+    iso = support_isometry(rho)
+    assert iso.shape == (4, 2)
+    assert np.abs(iso.conj().T @ iso - np.eye(2)).max() <= 1e-12
+    assert np.abs(iso @ iso.conj().T - support_projection(rho).mat).max() <= 1e-12
 
 
 class TestPinch:
