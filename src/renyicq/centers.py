@@ -156,6 +156,13 @@ def _anderson_step(history, sigma, step):
     return None
 
 
+def _tsallis_log_scale(sigma, logq, probs, alpha) -> float:
+    """log c with Tr Phi(c sigma) = Tr(c sigma) for the Tsallis map, which is
+    homogeneous of degree 1 - alpha: c^alpha = sum_x P(x) Q_x(sigma) / Tr sigma."""
+    return (float(np.logaddexp.reduce(np.log(probs) + logq))
+            - math.log(float(np.trace(sigma).real))) / alpha
+
+
 def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     """Safeguarded Anderson iteration of one of the three center maps on the
     compressed space.
@@ -194,11 +201,8 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
                 "a supported symbol has vanishing overlap with the iterate"
             )
         if kind == "T" and it == 1:
-            # The Tsallis map is homogeneous of degree 1 - alpha, so the scale
-            # c with Tr Phi(c sigma) = Tr(c sigma) is exact, and rescaling the
-            # start spares the damped iteration its walk to the fixed scale.
-            log_c = (float(np.logaddexp.reduce(np.log(probs) + logq))
-                     - math.log(float(np.trace(sigma).real))) / alpha
+            # Start at the exact fixed scale, not a damped walk to it.
+            log_c = _tsallis_log_scale(sigma, logq, probs, alpha)
             sigma = sigma * math.exp(log_c)
             logq = logq + (1.0 - alpha) * log_c
         # A mixed iterate far off in scale can overflow the unnormalized map;
@@ -361,13 +365,11 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind):
         sigma_nm, value = minimize_states(objective, [sigma, sig0c])
         if value < objective(sigma / float(np.trace(sigma).real)):
             sigma = sigma_nm
-            if kind == "T":
-                # The Tsallis center is the Q-bar center at its fixed scale c,
-                # c^alpha = sum_x P(x) Q_x (as in _run_fixed_point).
-                logq = backend.q_sweep(sigma, wpows, z, spow)
-                sigma = sigma * math.exp(
-                    float(np.logaddexp.reduce(np.log(probs) + logq)) / a)
             method = DIRECT_MINIMIZATION
+        if kind == "T":
+            # The chosen direction at its fixed scale, the Tsallis minimum on it.
+            logq = backend.q_sweep(sigma, wpows, z, spow)
+            sigma = sigma * math.exp(_tsallis_log_scale(sigma, logq, probs, a))
         ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
         residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
         scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
@@ -475,12 +477,12 @@ def closed_form_center_z1(w: GcqChannel, p: InputDistribution, alpha: float) -> 
 
 
 def solve_center_direct(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                        maxfev: int = 40000, seed: int = 7) -> CenterResult:
+                        maxfev: int = 40000) -> CenterResult:
     """Direct minimization of F(sigma) over states (works for z = inf too)."""
     params.require_not_one("solve_center_direct")
     avg = average_output(w, p)
     sigma, _ = minimize_states(lambda s: weighted_divergence(w, p, params, s),
-                               [avg.mat / avg.trace()], maxfev, seed=seed)
+                               [avg.mat / avg.trace()], maxfev)
     center = DensityOperator(sigma)
     report = classify_region(params)
     return CenterResult(

@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
+_RANDOM_START_SEED = 7
+
 
 @lru_cache(maxsize=None)
 def _layout(k):
@@ -44,18 +46,18 @@ def factor(sigma) -> np.ndarray:
     return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
 
 
-def minimize_states(f, starts, maxfev: int = 20000, seed: int = 7):
+def minimize_states(f, starts, maxfev: int = 20000):
     """Minimize ``f`` over k x k states by multistart Nelder-Mead.
 
     ``f`` receives a unit-trace PSD matrix.  A factor whose trace is not
     positive and finite, or a non-finite value of ``f``, scores 1e300.  The
     searches start from each distinct matrix in ``starts`` (PSD, any
-    positive trace), then from I/k and a random state drawn with ``seed``.
+    positive trace), then from I/k and a random state of a fixed seed.
     Each search stops at 1e-10 in the packed factor and 1e-14 in value.
     Returns (sigma, f(sigma)) for the unit-trace sigma with the least value.
     """
     k = starts[0].shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RANDOM_START_SEED)
     g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     rand = g @ g.conj().T
     distinct = []
