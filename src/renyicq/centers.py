@@ -9,7 +9,9 @@ direct-minimization fallback and results carry an explicit ``converged``
 flag plus a fixed-point residual.  Every map, on the
 compressed support during a solve and on the full space in the public
 ``fixed_point_map_*``, is assembled by `_assemble` from one call of the
-log-domain sweep kernel ``backend.center_sweep``.
+log-domain sweep kernel ``backend.center_sweep``.  Each solve reports the
+radius that `_radius` reads off the sweep of its returned center; the same
+helper is the fallback's objective.
 
 That fallback, `solve_center_direct`, `weighted_radius_beta` and
 `mutual_information_direct` all search states by ``optimize.minimize_states``.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import backend
 from .channels import GcqChannel, InputDistribution, average_output, lifted_state
-from .divergences import RenyiParams, classify_region, d_alpha_z, q_alpha_z, umegaki
+from .divergences import RenyiParams, classify_region, d_alpha_z, umegaki
 from .exceptions import SingularInputError
 from .operators import (
     DensityOperator,
@@ -49,8 +51,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
 # Damping schedule: start at min(1, 1/alpha) (the multiplier of the
-# linearized map is 1-alpha on commuting directions), halve on stalls down
-# to 2^-10, and for alpha << 1 switch to guarded extrapolation ~ 1/alpha.
+# linearized map is 1-alpha on commuting directions), halve whenever a plain
+# step is undone, down to 2^-10, and for alpha << 1 switch to guarded
+# extrapolation ~ 1/alpha.
 _GAMMA_FLOOR = 2.0 ** -10
 _GAMMA_CAP = 50.0
 
@@ -178,7 +181,9 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     the trace-norm residual of the returned iterate; ``iterations`` counts
     sweeps.
 
-    Returns (sigma, iterations, trace-norm residual, converged).
+    Returns (sigma, logq, iterations, trace-norm residual, converged), where
+    logq is the sweep of the returned sigma itself, so `_radius` reads the
+    solve's value off it.
     """
     normalized = kind in ("D", "Qbar")
     k = sigma0.shape[0]
@@ -191,7 +196,6 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     mixed = False
     prev_sigma = None
     prev_res = math.inf
-    stall = 0
     it = 0
     while it < max_iter:
         it += 1
@@ -212,11 +216,11 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             res_f = float(np.linalg.norm(diff))
         scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
         if res_f * sqrt_k <= tol * scale:
-            return sigma, it, trace_norm(diff), True
+            return sigma, logq, it, trace_norm(diff), True
         if res_f <= tol * scale:
             tn = trace_norm(diff)
             if tn <= tol * scale:
-                return sigma, it, tn, True
+                return sigma, logq, it, tn, True
 
         if prev_sigma is not None and not res_f <= prev_res * 1.25 and (
                 mixed or gamma > _GAMMA_FLOOR):
@@ -225,16 +229,6 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
                 gamma = max(0.5 * gamma, _GAMMA_FLOOR)
             sigma, diff, res_f = prev_sigma, prev_diff, prev_res
             history.clear()
-            stall = 0
-
-        if res_f >= prev_res * (1.0 - 1e-3):
-            stall += 1
-        else:
-            stall = 0
-        if stall >= 10:
-            gamma = max(0.5 * gamma, _GAMMA_FLOOR)
-            history.clear()
-            stall = 0
         if alpha < 0.1 and gamma == 1.0 and it >= 40:
             gamma = min(1.0 / alpha, _GAMMA_CAP)
 
@@ -252,7 +246,7 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
 
     ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
     phi = _assemble(kind, ghat, logq, probs)
-    return sigma, it, trace_norm(phi - sigma), False
+    return sigma, logq, it, trace_norm(phi - sigma), False
 
 
 def _embed(iso, sigma):
@@ -269,16 +263,6 @@ def weighted_divergence(w: GcqChannel, p: InputDistribution, params: RenyiParams
             continue
         total += prob * d_alpha_z(w.output(sym), sigma, params)
     return total
-
-
-def _signed_q_radius(w, p, params, sigma) -> float:
-    """chi_Qbar evaluated at sigma: s(alpha) * sum_x P(x) Q(W(x)||sigma)."""
-    acc = 0.0
-    for sym, prob in p.items():
-        if prob == 0.0:
-            continue
-        acc += prob * q_alpha_z(w.output(sym), sigma, params)
-    return params.s * acc
 
 
 def _require_finite_z(params, op):
@@ -344,9 +328,15 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 # ---------------------------------------------------------------------------
 
 def _solve_common(w, p, params, tol, max_iter, sigma0, kind):
+    """Fixed-point solve on the compressed support, with the direct fallback.
+
+    Returns (iso, sigma, value, iterations, residual, converged, method);
+    ``value`` is `_radius` at the returned sigma, read off its own sweep.
+    """
     iso, symbols, probs, wpows, sig0c, w_traces = _compressed_problem(w, p, params)
     a, z = params.alpha, params.z
     spow = (1.0 - a) / (2.0 * z)
+    log_traces = np.log(w_traces)
     normalized = kind in ("D", "Qbar")
     if sigma0 is not None:
         sig_start = iso.conj().T @ herm(sigma0).mat @ iso
@@ -356,14 +346,17 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind):
     if normalized:
         sig_start = sig_start / float(np.trace(sig_start).real)
 
-    sigma, iters, residual, ok = _run_fixed_point(
+    sigma, logq, iters, residual, ok = _run_fixed_point(
         wpows, probs, sig_start, z, spow, a, tol, max_iter, kind
     )
     method = FIXED_POINT
     if not ok:
-        objective = _fallback_objective(kind, wpows, probs, z, spow, a, w_traces)
+        # For Tsallis this is the Q-bar radius: the search is over directions.
+        def objective(s):
+            return _radius(kind, s, backend.q_sweep(s, wpows, z, spow), probs, a, log_traces)
+
         sigma_nm, value = minimize_states(objective, [sigma, sig0c])
-        if value < objective(sigma / float(np.trace(sigma).real)):
+        if value < _radius(kind, sigma, logq, probs, a, log_traces):
             sigma = sigma_nm
             method = DIRECT_MINIMIZATION
         if kind == "T":
@@ -374,25 +367,26 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind):
         residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
         scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
         ok = residual <= tol * scale
-    return iso, sigma, iters, residual, ok, method
+    value = _radius(kind, sigma, logq, probs, a, log_traces)
+    return iso, sigma, value, iters, residual, ok, method
 
 
-def _fallback_objective(kind, wpows, probs, z, spow, alpha, w_traces):
-    """The fallback's objective on unit-trace states: the D radius, or the
-    signed Q-bar radius s(alpha) sum_x P(x) Q_x for Q-bar and Tsallis."""
-    log_traces = np.log(w_traces)
-    sign = -1.0 if alpha < 1.0 else 1.0
+def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
+    """The radius at sigma / Tr sigma from one sweep's logq = log Q_x(sigma).
 
-    def objective(sigma):
-        logq = backend.q_sweep(sigma, wpows, z, spow)
-        if kind != "D":
-            return sign * float(probs @ np.exp(logq))
-        if np.isneginf(logq).any():
-            # A vanishing Q_x makes D infinite on either side of alpha = 1.
-            return math.inf
-        return float(probs @ (logq - log_traces) / (alpha - 1.0))
-
-    return objective
+    Q_x is homogeneous of degree 1 - alpha in sigma, so log Q_x(sigma / Tr
+    sigma) = logq - (1 - alpha) log Tr sigma.  For D this gives sum_x P(x)
+    (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar and Tsallis the signed
+    Q-bar radius s(alpha) sum_x P(x) Q_x.  This is both the fallback's
+    objective and every reported value.
+    """
+    logq = logq - (1.0 - alpha) * math.log(float(np.trace(sigma).real))
+    if kind != "D":
+        return math.copysign(float(probs @ np.exp(logq)), alpha - 1.0)
+    if np.isneginf(logq).any():
+        # A vanishing Q_x makes D infinite on either side of alpha = 1.
+        return math.inf
+    return float(probs @ (logq - log_traces) / (alpha - 1.0))
 
 
 def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
@@ -407,11 +401,10 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     _require_finite_z(params, "solve_center_D")
     report = classify_region(params)
     heuristic = not (report.in_Gamma_D and report.second_arg_convex_D)
-    iso, sigma, iters, residual, ok, method = _solve_common(
+    iso, sigma, value, iters, residual, ok, method = _solve_common(
         w, p, params, tol, max_iter, sigma0, "D"
     )
     center = DensityOperator(_embed(iso, sigma))
-    value = weighted_divergence(w, p, params, center)
     return CenterResult(center, value, iters, residual, ok, method, heuristic)
 
 
@@ -422,11 +415,10 @@ def solve_center_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     _require_finite_z(params, "solve_center_Qbar")
     report = classify_region(params)
     heuristic = not (report.in_Gamma_Qbar and report.second_arg_convex_Qbar)
-    iso, sigma, iters, residual, ok, method = _solve_common(
+    iso, sigma, value, iters, residual, ok, method = _solve_common(
         w, p, params, tol, max_iter, sigma0, "Qbar"
     )
     center = DensityOperator(_embed(iso, sigma))
-    value = _signed_q_radius(w, p, params, center)
     return CenterResult(center, value, iters, residual, ok, method, heuristic)
 
 
@@ -441,12 +433,10 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParam
     _require_finite_z(params, "solve_center_tsallis")
     report = classify_region(params)
     heuristic = not (report.in_Gamma_Qbar and report.second_arg_convex_Qbar)
-    iso, sigma, iters, residual, ok, method = _solve_common(
+    iso, sigma, signed, iters, residual, ok, method = _solve_common(
         w, p, params, tol, max_iter, sigma0, "T"
     )
     center = HermitianOperator(_embed(iso, sigma))
-    normalized = DensityOperator(center.mat)
-    signed = _signed_q_radius(w, p, params, normalized)
     tr_wp = average_output(w, p).trace()
     a = params.alpha
     value = (a / (1.0 - a)) * (tr_wp - (params.s * signed) ** (1.0 / a))
@@ -476,18 +466,16 @@ def closed_form_center_z1(w: GcqChannel, p: InputDistribution, alpha: float) -> 
     return CenterResult(center, value, 0, residual, True, CLOSED_FORM_Z1)
 
 
-def solve_center_direct(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                        maxfev: int = 40000) -> CenterResult:
+def solve_center_direct(w: GcqChannel, p: InputDistribution,
+                        params: RenyiParams) -> CenterResult:
     """Direct minimization of F(sigma) over states (works for z = inf too)."""
     params.require_not_one("solve_center_direct")
     avg = average_output(w, p)
-    sigma, _ = minimize_states(lambda s: weighted_divergence(w, p, params, s),
-                               [avg.mat / avg.trace()], maxfev)
-    center = DensityOperator(sigma)
+    sigma, value = minimize_states(lambda s: weighted_divergence(w, p, params, s),
+                                   [avg.mat / avg.trace()], 40000)
     report = classify_region(params)
     return CenterResult(
-        center, weighted_divergence(w, p, params, center), 0, math.nan, False,
-        DIRECT_MINIMIZATION,
+        DensityOperator(sigma), value, 0, math.nan, False, DIRECT_MINIMIZATION,
         heuristic=not (report.in_Gamma_D and report.second_arg_convex_D),
     )
 
@@ -636,13 +624,13 @@ def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams,
 # Radii built on the solvers
 # ---------------------------------------------------------------------------
 
-def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6,
-                      max_rounds: int = 500, eta: float = 1.0, **solver_kw):
+def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6):
     """Unweighted radius inf_sigma sup_x D(W(x)||sigma).
 
     Multiplicative-weights ascent on the input law against the inner
-    weighted-center solve; exits when the sup-vs-average gap is below tol.
-    Returns (radius, center, worst_P).
+    weighted-center solve, at most 500 rounds with a step halved (from 1 down
+    to 1/64) whenever the gap grows; exits when the sup-vs-average gap is
+    below tol.  Returns (radius, center, worst_P).
     """
     report = classify_region(params)
     if not report.second_arg_convex_D:
@@ -650,11 +638,12 @@ def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6,
     symbols = w.alphabet
     weights = np.full(len(symbols), 1.0 / len(symbols))
     warm = None
+    eta = 1.0
     prev_gap = math.inf
     best = None
-    for _ in range(max_rounds):
+    for _ in range(500):
         p_t = InputDistribution(dict(zip(symbols, weights)))
-        res = solve_center_D(w, p_t, params, sigma0=warm, **solver_kw)
+        res = solve_center_D(w, p_t, params, sigma0=warm)
         warm = res.center
         dvals = np.array([d_alpha_z(w.output(s), res.center, params) for s in symbols])
         radius_up = float(dvals.max())
@@ -670,12 +659,12 @@ def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6,
         weights = weights * np.exp(shifted)
         weights = np.maximum(weights, 1e-300)
         weights /= weights.sum()
-    warnings.warn(f"divergence_radius: gap {prev_gap:.2e} above tol after {max_rounds} rounds")
+    warnings.warn(f"divergence_radius: gap {prev_gap:.2e} above tol after 500 rounds")
     return best
 
 
 def weighted_radius_beta(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                         beta: float, maxfev: int = 60000) -> float:
+                         beta: float) -> float:
     """(P, beta)-weighted radius: min over states of the P-weighted beta-norm
     of x -> D(W(x)||sigma).
 
@@ -701,7 +690,7 @@ def weighted_radius_beta(w: GcqChannel, p: InputDistribution, params: RenyiParam
 
     anchor = solve_center_D(w, p, params)
     sigma, _ = minimize_states(objective, [anchor.center.mat, average_output(w, p).mat],
-                               maxfev)
+                               60000)
     dv = np.maximum(dvals(HermitianOperator(sigma)), 0.0)
     if math.isinf(beta):
         return float(dv.max())
@@ -717,12 +706,11 @@ def holevo_quantity(w: GcqChannel, p: InputDistribution):
     return float(value), center
 
 
-def mutual_information(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                       **solver_kw) -> float:
+def mutual_information(w: GcqChannel, p: InputDistribution, params: RenyiParams) -> float:
     """I_{alpha,z}(W,P) = (1/(alpha-1)) log s(alpha) chi_Qbar(W,P)."""
     if params.alpha == 1.0:
         return holevo_quantity(w, p)[0]
-    res = solve_center_Qbar(w, p, params, **solver_kw)
+    res = solve_center_Qbar(w, p, params)
     return math.log(params.s * res.value) / (params.alpha - 1.0)
 
 

@@ -187,14 +187,25 @@ def _validated(rho, sigma, p: RenyiParams, op: str):
 def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
                        p: RenyiParams) -> np.ndarray:
     """Eigenvalues of rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z} on its support,
-    ascending; empty when the product vanishes."""
+    ascending; empty when the product vanishes.
+
+    For alpha < 1 the product of orthogonal supports is roundoff of the size
+    of its factors' norms, so it vanishes at or below SUPPORT_RTOL times
+    ||rho^{a/2z}||^2 ||sigma^{(1-a)/z}||.  For alpha > 1 the callers have
+    already ruled orthogonality out, and sigma's negative power has no such
+    bound.
+    """
     a, z = p.alpha, p.z
     rho_half = support_power(rho, a / (2.0 * z)).mat
     sig_pow = support_power(sigma, (1.0 - a) / z).mat
     inner = rho_half @ sig_pow @ rho_half
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     wmax = float(w[-1])
-    if wmax <= 0.0:
+    floor = 0.0
+    if a < 1.0:
+        floor = (SUPPORT_RTOL * float(rho.eigenvalues[-1]) ** (a / z)
+                 * float(sigma.eigenvalues[-1]) ** ((1.0 - a) / z))
+    if wmax <= floor:
         return w[:0]
     return w[w > wmax * SUPPORT_RTOL]
 
@@ -311,9 +322,10 @@ def d_hat(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> f
     return d_alpha_z(_normalized(rho), _normalized(sigma), p)
 
 
-def q_alpha_z_regularized(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams,
-                          eps=(1e-6, 1e-8, 1e-10)) -> float:
-    """Q evaluated on (sigma + eps I) with Richardson extrapolation to eps -> 0.
+def q_alpha_z_regularized(rho: HermitianOperator, sigma: HermitianOperator,
+                          p: RenyiParams) -> float:
+    """Q evaluated on (sigma + eps I), eps = 1e-6, 1e-8, 1e-10, with Richardson
+    extrapolation to eps -> 0.
 
     A cross-check for the support-projection path; finite z only.  A
     sequence growing without bound (support violation at alpha > 1) reports
@@ -324,11 +336,8 @@ def q_alpha_z_regularized(rho: HermitianOperator, sigma: HermitianOperator, p: R
         raise ValueError("the regularized path is defined for finite z only")
     rho, sigma = herm(rho), herm(sigma)
     eye = np.eye(sigma.dim)
-    vals = []
-    for e in sorted(eps, reverse=True):
-        reg = HermitianOperator(sigma.mat + e * eye)
-        vals.append(q_alpha_z(rho, reg, p))
-    q0, q1, q2 = vals[-3], vals[-2], vals[-1]
+    q0, q1, q2 = (q_alpha_z(rho, HermitianOperator(sigma.mat + e * eye), p)
+                  for e in (1e-6, 1e-8, 1e-10))
     if p.alpha > 1.0 and q2 > q1 > q0 and q1 > 0 and q2 / max(q1, 1e-300) > 10.0:
         return math.inf
     d1, d2 = q1 - q0, q2 - q1

@@ -79,15 +79,12 @@ class RadiusCache:
     is kept in ``chi_inf_center``.
     """
 
-    def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched",
-                 tol: float = 1e-10, max_iter: int = 20000):
+    def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched"):
         if rule not in ("sandwiched", "petz"):
             raise ValueError(f"unknown rule {rule!r}")
         self.w = w
         self.p = p
         self.rule = rule
-        self.tol = tol
-        self.max_iter = max_iter
         self._results = {}
         self._chi_inf = None
         self.chi_inf_center = None
@@ -103,8 +100,8 @@ class RadiusCache:
         if self._results:
             nearest = min(self._results, key=lambda a: abs(a - alpha))
             warm = self._results[nearest].center
-        res = solve_center_D(self.w, self.p, self._params(alpha),
-                             tol=self.tol, max_iter=self.max_iter, sigma0=warm)
+        res = solve_center_D(self.w, self.p, self._params(alpha), max_iter=20000,
+                             sigma0=warm)
         if not res.converged:
             raise NonConvergenceError(
                 f"center solve did not converge at alpha={alpha}, "
@@ -239,17 +236,12 @@ def _refined_grid_max(f, grid, values, iters):
     return (j, *_golden_max(f, lo, hi, iters))
 
 
-def _sandwiched_grid(alpha_max, grid_points):
-    return 1.0 + np.geomspace(1e-3, alpha_max - 1.0, grid_points)
-
-
 def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
-                cache: RadiusCache | None = None,
-                alpha_max: float = DEFAULT_ALPHA_MAX,
-                grid_points: int = DEFAULT_GRID_POINTS,
-                refine_iters: int = DEFAULT_REFINE_ITERS):
+                cache: RadiusCache | None = None):
     """Strong converse exponent sup_{alpha>1} (1-1/alpha)(R - chi*_alpha).
 
+    The orders alpha in (1, DEFAULT_ALPHA_MAX] form a geometric grid of
+    DEFAULT_GRID_POINTS in alpha - 1; the alpha -> inf endpoint is chi_inf.
     Returns (value, argmax_alpha); argmax_alpha is 1.0 when the supremum
     clamps to zero and inf when the max-relative-entropy endpoint dominates.
     Orders whose center solve fails are dropped with a warning.
@@ -268,7 +260,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
             return -math.inf
 
     us, gs = [0.0], [0.0]
-    for alpha in _sandwiched_grid(alpha_max, grid_points):
+    for alpha in 1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS):
         try:
             chi = cache.chi(alpha)
         except NonConvergenceError as exc:
@@ -280,7 +272,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
         raise NonConvergenceError("no sandwiched radius evaluation converged")
     g_inf = rate - cache.chi_inf()
 
-    _, u_star, g_star = _refined_grid_max(g_of_u, us, gs, refine_iters)
+    _, u_star, g_star = _refined_grid_max(g_of_u, us, gs, DEFAULT_REFINE_ITERS)
     if g_inf >= g_star:
         value, argmax = g_inf, math.inf
     else:
@@ -291,14 +283,14 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
 
 
 def sc_curve(w: GcqChannel, p: InputDistribution, rates,
-             cache: RadiusCache | None = None, **kw) -> ExponentCurve:
+             cache: RadiusCache | None = None) -> ExponentCurve:
     """Strong converse exponent over a rate grid, sharing one radius cache."""
     cache = cache or RadiusCache(w, p, "sandwiched")
     rates = np.asarray(list(rates), dtype=float)
     values = np.zeros_like(rates)
     argmax = np.zeros_like(rates)
     for i, r in enumerate(rates):
-        values[i], argmax[i] = sc_exponent(w, p, float(r), cache=cache, **kw)
+        values[i], argmax[i] = sc_exponent(w, p, float(r), cache=cache)
     return ExponentCurve(rates, values, argmax,
                          params="strong converse exponent (sandwiched radius)")
 
@@ -313,14 +305,11 @@ def cutoff_rate(w: GcqChannel, p: InputDistribution, kappa: float,
 
 
 def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
-                         cache: RadiusCache | None = None,
-                         alpha_min: float = SP_ALPHA_MIN,
-                         grid_points: int = DEFAULT_GRID_POINTS,
-                         refine_iters: int = DEFAULT_REFINE_ITERS) -> float:
+                         cache: RadiusCache | None = None) -> float:
     """sup_{0<alpha<1} ((alpha-1)/alpha)(R - chi_{alpha,1}), clamped at 0.
 
     The supremum may diverge as alpha -> 0; the grid is floored at
-    ``alpha_min`` and a warning is emitted when the argmax sits there.
+    SP_ALPHA_MIN and a warning is emitted when the argmax sits there.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
@@ -332,11 +321,11 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
         except NonConvergenceError:
             return -math.inf
 
-    grid = np.geomspace(alpha_min, 1.0 - 1e-6, grid_points)
+    grid = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, DEFAULT_GRID_POINTS)
     gs = [g(a) for a in grid]
     if not np.isfinite(gs).any():
         raise NonConvergenceError("no Petz radius evaluation converged")
-    j, _, g_star = _refined_grid_max(g, grid, gs, refine_iters)
+    j, _, g_star = _refined_grid_max(g, grid, gs, DEFAULT_REFINE_ITERS)
     if j == 0:
         warnings.warn(
             "sphere-packing supremum attained at the alpha grid floor; "

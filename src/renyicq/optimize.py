@@ -53,8 +53,11 @@ def minimize_states(f, starts, maxfev: int = 20000):
     positive and finite, or a non-finite value of ``f``, scores 1e300.  The
     searches start from each distinct matrix in ``starts`` (PSD, any
     positive trace), then from I/k and a random state of a fixed seed.
-    Each search stops at 1e-10 in the packed factor and 1e-14 in value.
-    Returns (sigma, f(sigma)) for the unit-trace sigma with the least value.
+    Each search starts from a simplex stepped by 5% of max|x0| along every
+    coordinate of the packed start x0, so that the exact zeros of a diagonal
+    start's factor move too, and stops at 1e-10 in the packed factor and
+    1e-14 in value.  Returns (sigma, f(sigma)) for the unit-trace sigma with
+    the least value.
     """
     k = starts[0].shape[0]
     rng = np.random.default_rng(_RANDOM_START_SEED)
@@ -78,8 +81,11 @@ def minimize_states(f, starts, maxfev: int = 20000):
 
     best_x, best_f = None, math.inf
     for s in distinct:
-        res = minimize(objective, pack(factor(s)), method="Nelder-Mead",
-                       options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-14})
+        x0 = pack(factor(s))
+        simplex = np.vstack([x0, x0 + 0.05 * np.abs(x0).max() * np.eye(len(x0))])
+        res = minimize(objective, x0, method="Nelder-Mead",
+                       options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-14,
+                                "initial_simplex": simplex})
         if res.fun < best_f:
             best_x, best_f = res.x, res.fun
     return state(best_x), float(best_f)

@@ -125,6 +125,22 @@ class TestSolveCenterD:
         assert res.value == pytest.approx(
             weighted_divergence(w, p, RenyiParams(1.5, 1.0), res.center), abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [4.0, 8.0])
+    def test_value_is_exact_at_diagonal_center(self, alpha):
+        # W_0's 5e-4 entry weighs about 1e-13 of Q_0 at alpha = 8: a value
+        # recomputed through the public 1e-10 spectral cutoff drops it, the
+        # solve's own sweep keeps it.
+        rows = np.array([[0.9, 0.0995, 5e-4], [0.2, 0.3, 0.5], [0.05, 0.9, 0.05]])
+        weights = np.array([0.5, 0.3, 0.2])
+        w = GcqChannel({str(i): HermitianOperator(np.diag(r).astype(complex))
+                        for i, r in enumerate(rows)})
+        p = InputDistribution({str(i): x for i, x in enumerate(weights)})
+        res = solve_center_D(w, p, RenyiParams.petz(alpha))
+        assert res.converged and res.method == FIXED_POINT
+        q = np.diag(res.center.mat).real
+        want = weights @ np.log(rows ** alpha @ q ** (1.0 - alpha)) / (alpha - 1.0)
+        assert res.value == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_heuristic_flag_outside_region(self):
         rng = np.random.default_rng(5)
         w, p = random_cq_channel(2, 3, rng)
@@ -265,6 +281,12 @@ class TestSolveCenterQbar:
         w, _ = random_cq_channel(2, 2, rng)
         p = InputDistribution.point("1")
         assert mutual_information(w, p, SANDWICHED_2) == pytest.approx(0.0, abs=1e-9)
+
+    def test_small_petz_order_converges_by_fixed_point(self):
+        w, p = parse_preset("random:8:3:3")
+        res = solve_center_Qbar(w, p, RenyiParams.petz(0.03))
+        assert res.converged and res.method == FIXED_POINT
+        assert res.iterations < 200
 
     def test_qbar_map_preserves_trace(self):
         rng = np.random.default_rng(14)

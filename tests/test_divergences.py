@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from _helpers import classical_q_scalar, random_herm, random_state_mat
 from renyicq.divergences import (
@@ -119,6 +120,26 @@ class TestDAlphaZ:
     def test_infinity_on_zero_q(self):
         got = d_alpha_z(PURE0, PURE1, RenyiParams(0.5, 1.0))
         assert isinstance(got, SupportViolationInfinity)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_rotated_orthogonal_supports(self, alpha):
+        # In a generic basis the product of orthogonal supports is roundoff,
+        # not a tiny overlap: D is SUPPORT_INF and Q is 0.
+        u = unitary_group.rvs(3, random_state=1)
+        rho = HermitianOperator(u @ np.diag([0.7, 0.3, 0.0]) @ u.conj().T)
+        sigma = HermitianOperator(u @ np.diag([0.0, 0.0, 1.0]) @ u.conj().T)
+        for z in (0.3, alpha, 1.0):
+            params = RenyiParams(alpha, z)
+            assert isinstance(d_alpha_z(rho, sigma, params), SupportViolationInfinity)
+            assert q_alpha_z(rho, sigma, params) == 0.0
+
+    def test_small_overlaps_stay_finite(self):
+        # alpha < 1: an overlap of 1e-8 is real, far above roundoff.
+        got = d_alpha_z(PURE0, state([1e-8, 1.0 - 1e-8]), RenyiParams(0.5, 1.0))
+        assert got == pytest.approx(-2.0 * math.log(1e-4), rel=1e-12)
+        # alpha > 1: sigma^(1-a) has norm 1e15, far above the product's 1.
+        got = d_alpha_z(PURE0, state([1.0 - 1e-5, 1e-5]), RenyiParams(4.0, 1.0))
+        assert got == pytest.approx(-math.log1p(-1e-5), rel=1e-12)
 
     def test_large_order_is_finite_not_support_violation(self):
         # Q = sum_j p_j^a q_j^(1-a) is about e^746 here, past the largest double.
