@@ -18,6 +18,7 @@ from .operators import (
     HermitianOperator,
     exp_log_trace,
     herm,
+    support_isometry,
     support_power,
     support_projection,
 )
@@ -189,23 +190,23 @@ def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
     """Eigenvalues of rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z} on its support,
     ascending; empty when the product vanishes.
 
-    For alpha < 1 the product of orthogonal supports is roundoff of the size
-    of its factors' norms, so it vanishes at or below SUPPORT_RTOL times
-    ||rho^{a/2z}||^2 ||sigma^{(1-a)/z}||.  For alpha > 1 the callers have
-    already ruled orthogonality out, and sigma's negative power has no such
-    bound.
+    Orthogonality is read off the supports, not the powered product: in a
+    generic basis the product of orthogonal supports is roundoff, while a
+    real overlap can sit far below SUPPORT_RTOL once raised to a/z or
+    (1-a)/z > 1.  Supports whose projections overlap by at most SUPPORT_RTOL
+    in Frobenius norm, sqrt Tr(P_rho P_sigma), count as orthogonal; an
+    overlap that small is below the roundoff of the product anyway.
     """
     a, z = p.alpha, p.z
     rho_half = support_power(rho, a / (2.0 * z)).mat
     sig_pow = support_power(sigma, (1.0 - a) / z).mat
+    overlap = support_isometry(rho).conj().T @ support_isometry(sigma)
+    if np.linalg.norm(overlap) <= SUPPORT_RTOL:
+        return np.zeros(0)
     inner = rho_half @ sig_pow @ rho_half
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     wmax = float(w[-1])
-    floor = 0.0
-    if a < 1.0:
-        floor = (SUPPORT_RTOL * float(rho.eigenvalues[-1]) ** (a / z)
-                 * float(sigma.eigenvalues[-1]) ** ((1.0 - a) / z))
-    if wmax <= floor:
+    if wmax <= 0.0:
         return w[:0]
     return w[w > wmax * SUPPORT_RTOL]
 

@@ -137,6 +137,12 @@ class TestDAlphaZ:
         # alpha < 1: an overlap of 1e-8 is real, far above roundoff.
         got = d_alpha_z(PURE0, state([1e-8, 1.0 - 1e-8]), RenyiParams(0.5, 1.0))
         assert got == pytest.approx(-2.0 * math.log(1e-4), rel=1e-12)
+        # Powers above 1 push a real overlap far below the support cutoff:
+        # sigma^9 weighs |0> by 0.05^9 ~ 2e-12, sigma^(7/3) by 1e-14.
+        got = d_alpha_z(PURE0, state([0.05, 0.95]), RenyiParams(0.1, 0.1))
+        assert got == pytest.approx(-math.log(0.05), rel=1e-12)
+        got = d_alpha_z(PURE0, state([1e-6, 1.0 - 1e-6]), RenyiParams.sandwiched(0.3))
+        assert got == pytest.approx(-math.log(1e-6), rel=1e-12)
         # alpha > 1: sigma^(1-a) has norm 1e15, far above the product's 1.
         got = d_alpha_z(PURE0, state([1.0 - 1e-5, 1e-5]), RenyiParams(4.0, 1.0))
         assert got == pytest.approx(-math.log1p(-1e-5), rel=1e-12)
