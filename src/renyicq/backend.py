@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative eigenvalue cutoff used inside the sweeps.  The solvers iterate on
-# the compressed, positive-definite support subspace, so this acts only as a
-# roundoff guard and is tighter than the public support cutoff.
-EIG_CUTOFF = 1e-14
+from .operators import EIG_CUTOFF
 
 
 def _sandwiches(sigma, wpows, spow):

@@ -1,13 +1,15 @@
 """Weighted divergence centers and radii of gcq channels.
 
-The headline solvers iterate the center fixed-point maps in one loop,
-`_run_fixed_point`: safeguarded Anderson mixing over the adaptively damped
-map, which falls back to the plain damped step whenever a mixed iterate
-leaves the positive-definite cone or raises the residual.  Nothing here
-assumes the iteration contracts, so every solve is guarded by a
+The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
+safeguarded Anderson mixing over the adaptively damped center map, on
+unit-trace iterates, which falls back to the plain damped step whenever a
+mixed iterate leaves the positive-definite cone or raises the residual.
+Nothing here assumes the iteration contracts, so every solve is guarded by a
 direct-minimization fallback and results carry an explicit ``converged``
-flag plus a fixed-point residual.  Every map, on the
-compressed support during a solve and on the full space in the public
+flag plus a fixed-point residual.  The unnormalized Tsallis map is
+homogeneous of the same degree 1 - alpha as the Q-bar map, so the Tsallis
+center is the Q-bar center rescaled once, not a third iteration.  Every map,
+on the compressed support during a solve and on the full space in the public
 ``fixed_point_map_*``, is assembled by `_assemble` from one call of the
 log-domain sweep kernel ``backend.center_sweep``.  Each solve reports the
 radius that `_radius` reads off the sweep of its returned center; the same
@@ -110,8 +112,9 @@ def _compressed_problem(w: GcqChannel, p: InputDistribution, params: RenyiParams
 def _assemble(kind, ghat, logq, probs):
     """One center map from a sweep's normalized terms ghat[x] = G_x / Tr G_x.
 
-    D weighs them by P(x); Q-bar by P(x) Tr G_x / sum_y P(y) Tr G_y; the
-    unnormalized Tsallis map by P(x) Tr G_x.
+    D weighs them by P(x) and Q-bar by P(x) Tr G_x / sum_y P(y) Tr G_y, the
+    two maps the solvers iterate; "T", the unnormalized Tsallis map of
+    `fixed_point_map_tsallis`, by P(x) Tr G_x.
     """
     if kind == "D":
         weights = probs
@@ -159,16 +162,9 @@ def _anderson_step(history, sigma, step):
     return None
 
 
-def _tsallis_log_scale(sigma, logq, probs, alpha) -> float:
-    """log c with Tr Phi(c sigma) = Tr(c sigma) for the Tsallis map, which is
-    homogeneous of degree 1 - alpha: c^alpha = sum_x P(x) Q_x(sigma) / Tr sigma."""
-    return (float(np.logaddexp.reduce(np.log(probs) + logq))
-            - math.log(float(np.trace(sigma).real))) / alpha
-
-
 def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
-    """Safeguarded Anderson iteration of one of the three center maps on the
-    compressed space.
+    """Safeguarded Anderson iteration of the D or the Q-bar center map over
+    unit-trace iterates on the compressed space.
 
     The base step is the damped map g(sigma) = sigma + gamma (Phi(sigma) - sigma)
     with the adaptive gamma below; Anderson(_ANDERSON_DEPTH) mixing over the
@@ -176,21 +172,17 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     definite (`_anderson_step`).  A mixed step whose residual grows by more
     than 1.25x is undone and the history dropped; a plain step that does so
     is undone and gamma halved.  No mixing while gamma > 1 (the alpha << 1
-    extrapolation, clipped to the PSD cone instead).  The unnormalized
-    Tsallis start is first scaled to its exact fixed trace.  The stop test is
-    the trace-norm residual of the returned iterate; ``iterations`` counts
+    extrapolation, clipped to the PSD cone instead).  The stop test is the
+    trace-norm residual of the returned iterate; ``iterations`` counts
     sweeps.
 
     Returns (sigma, logq, iterations, trace-norm residual, converged), where
     logq is the sweep of the returned sigma itself, so `_radius` reads the
     solve's value off it.
     """
-    normalized = kind in ("D", "Qbar")
     k = sigma0.shape[0]
     sqrt_k = math.sqrt(k)
-    sigma = np.array(sigma0, dtype=complex)
-    if normalized:
-        sigma = sigma / float(np.trace(sigma).real)
+    sigma = sigma0 / float(np.trace(sigma0).real)
     gamma = min(1.0, 1.0 / alpha)
     history = []
     mixed = False
@@ -204,22 +196,13 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             raise SingularInputError(
                 "a supported symbol has vanishing overlap with the iterate"
             )
-        if kind == "T" and it == 1:
-            # Start at the exact fixed scale, not a damped walk to it.
-            log_c = _tsallis_log_scale(sigma, logq, probs, alpha)
-            sigma = sigma * math.exp(log_c)
-            logq = logq + (1.0 - alpha) * log_c
-        # A mixed iterate far off in scale can overflow the unnormalized map;
-        # the non-finite residual then undoes the step below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = _assemble(kind, ghat, logq, probs) - sigma
-            res_f = float(np.linalg.norm(diff))
-        scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
-        if res_f * sqrt_k <= tol * scale:
+        diff = _assemble(kind, ghat, logq, probs) - sigma
+        res_f = float(np.linalg.norm(diff))
+        if res_f * sqrt_k <= tol:
             return sigma, logq, it, trace_norm(diff), True
-        if res_f <= tol * scale:
+        if res_f <= tol:
             tn = trace_norm(diff)
-            if tn <= tol * scale:
+            if tn <= tol:
                 return sigma, logq, it, tn, True
 
         if prev_sigma is not None and not res_f <= prev_res * 1.25 and (
@@ -241,8 +224,7 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
         if gamma > 1.0:
             wv, vv = np.linalg.eigh(sigma)
             sigma = (vv * np.clip(wv, 0.0, None)) @ vv.conj().T
-        if normalized:
-            sigma = sigma / float(np.trace(sigma).real)
+        sigma = sigma / float(np.trace(sigma).real)
 
     ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
     phi = _assemble(kind, ghat, logq, probs)
@@ -327,48 +309,46 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _solve_common(w, p, params, tol, max_iter, sigma0, kind):
-    """Fixed-point solve on the compressed support, with the direct fallback.
-
-    Returns (iso, sigma, value, iterations, residual, converged, method);
-    ``value`` is `_radius` at the returned sigma, read off its own sweep.
+def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
+    """The D or the Q-bar center: the fixed-point solve on the compressed
+    support, with the direct fallback.  ``value`` is `_radius` at the
+    returned center, read off its own sweep; outside the proven parameter
+    region the result is stamped ``heuristic``.
     """
+    _require_finite_z(params, f"solve_center_{kind}")
+    report = classify_region(params)
+    if kind == "D":
+        proven = report.in_Gamma_D and report.second_arg_convex_D
+    else:
+        proven = report.in_Gamma_Qbar and report.second_arg_convex_Qbar
     iso, symbols, probs, wpows, sig0c, w_traces = _compressed_problem(w, p, params)
     a, z = params.alpha, params.z
     spow = (1.0 - a) / (2.0 * z)
     log_traces = np.log(w_traces)
-    normalized = kind in ("D", "Qbar")
     if sigma0 is not None:
         sig_start = iso.conj().T @ herm(sigma0).mat @ iso
         sig_start = 0.5 * (sig_start + sig_start.conj().T)
     else:
         sig_start = sig0c
-    if normalized:
-        sig_start = sig_start / float(np.trace(sig_start).real)
+    sig_start = sig_start / float(np.trace(sig_start).real)
 
     sigma, logq, iters, residual, ok = _run_fixed_point(
         wpows, probs, sig_start, z, spow, a, tol, max_iter, kind
     )
     method = FIXED_POINT
     if not ok:
-        # For Tsallis this is the Q-bar radius: the search is over directions.
         def objective(s):
             return _radius(kind, s, backend.q_sweep(s, wpows, z, spow), probs, a, log_traces)
 
         sigma_nm, value = minimize_states(objective, [sigma, sig0c])
         if value < _radius(kind, sigma, logq, probs, a, log_traces):
-            sigma = sigma_nm
-            method = DIRECT_MINIMIZATION
-        if kind == "T":
-            # The chosen direction at its fixed scale, the Tsallis minimum on it.
-            logq = backend.q_sweep(sigma, wpows, z, spow)
-            sigma = sigma * math.exp(_tsallis_log_scale(sigma, logq, probs, a))
-        ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
-        residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
-        scale = 1.0 if normalized else max(1.0, abs(float(np.trace(sigma).real)))
-        ok = residual <= tol * scale
+            sigma, method = sigma_nm, DIRECT_MINIMIZATION
+            ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
+            residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
+        ok = residual <= tol
     value = _radius(kind, sigma, logq, probs, a, log_traces)
-    return iso, sigma, value, iters, residual, ok, method
+    return CenterResult(DensityOperator(_embed(iso, sigma)), value, iters, residual, ok,
+                        method, not proven)
 
 
 def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
@@ -376,12 +356,12 @@ def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
 
     Q_x is homogeneous of degree 1 - alpha in sigma, so log Q_x(sigma / Tr
     sigma) = logq - (1 - alpha) log Tr sigma.  For D this gives sum_x P(x)
-    (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar and Tsallis the signed
-    Q-bar radius s(alpha) sum_x P(x) Q_x.  This is both the fallback's
-    objective and every reported value.
+    (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar the signed radius
+    s(alpha) sum_x P(x) Q_x.  This is both the fallback's objective and
+    every reported value.
     """
     logq = logq - (1.0 - alpha) * math.log(float(np.trace(sigma).real))
-    if kind != "D":
+    if kind == "Qbar":
         return math.copysign(float(probs @ np.exp(logq)), alpha - 1.0)
     if np.isneginf(logq).any():
         # A vanishing Q_x makes D infinite on either side of alpha = 1.
@@ -398,28 +378,14 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     support, with a direct-minimization fallback.  Outside the proven
     parameter region the result is stamped ``heuristic``.
     """
-    _require_finite_z(params, "solve_center_D")
-    report = classify_region(params)
-    heuristic = not (report.in_Gamma_D and report.second_arg_convex_D)
-    iso, sigma, value, iters, residual, ok, method = _solve_common(
-        w, p, params, tol, max_iter, sigma0, "D"
-    )
-    center = DensityOperator(_embed(iso, sigma))
-    return CenterResult(center, value, iters, residual, ok, method, heuristic)
+    return _solve_common(w, p, params, tol, max_iter, sigma0, "D")
 
 
 def solve_center_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                       tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                       sigma0=None) -> CenterResult:
     """Weighted Q-bar center; ``value`` is the signed radius chi_Qbar."""
-    _require_finite_z(params, "solve_center_Qbar")
-    report = classify_region(params)
-    heuristic = not (report.in_Gamma_Qbar and report.second_arg_convex_Qbar)
-    iso, sigma, value, iters, residual, ok, method = _solve_common(
-        w, p, params, tol, max_iter, sigma0, "Qbar"
-    )
-    center = DensityOperator(_embed(iso, sigma))
-    return CenterResult(center, value, iters, residual, ok, method, heuristic)
+    return _solve_common(w, p, params, tol, max_iter, sigma0, "Qbar")
 
 
 def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParams,
@@ -427,20 +393,21 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParam
                          sigma0=None) -> CenterResult:
     """PSD Tsallis center (unnormalized) and the Tsallis radius.
 
-    At the fixed point Tr sigma* equals the weighted Q-value, and
-    sigma*/Tr sigma* is the Q-bar center.
+    The Tsallis map is the Q-bar map times sum_x P(x) Q_x, and both are
+    homogeneous of degree 1 - alpha.  So the Tsallis center is c sigma_Q, the
+    Q-bar center sigma_Q scaled by c with c^alpha = sum_x P(x) Q_x(sigma_Q)
+    = s(alpha) chi_Qbar, and for unit-trace sigma Phi_T(c sigma) - c sigma =
+    c (Phi_Q(sigma) - sigma): the residual is c times the Q-bar residual.
+    ``iterations``, ``method`` and ``heuristic`` are the Q-bar solve's.
     """
     _require_finite_z(params, "solve_center_tsallis")
-    report = classify_region(params)
-    heuristic = not (report.in_Gamma_Qbar and report.second_arg_convex_Qbar)
-    iso, sigma, signed, iters, residual, ok, method = _solve_common(
-        w, p, params, tol, max_iter, sigma0, "T"
-    )
-    center = HermitianOperator(_embed(iso, sigma))
-    tr_wp = average_output(w, p).trace()
+    qb = solve_center_Qbar(w, p, params, tol, max_iter, sigma0)
     a = params.alpha
-    value = (a / (1.0 - a)) * (tr_wp - (params.s * signed) ** (1.0 / a))
-    return CenterResult(center, value, iters, residual, ok, method, heuristic)
+    c = (params.s * qb.value) ** (1.0 / a)
+    residual = c * qb.residual
+    value = (a / (1.0 - a)) * (average_output(w, p).trace() - c)
+    return CenterResult(HermitianOperator(c * qb.center.mat), value, qb.iterations,
+                        residual, residual <= tol * max(1.0, c), qb.method, qb.heuristic)
 
 
 def closed_form_center_z1(w: GcqChannel, p: InputDistribution, alpha: float) -> CenterResult:

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,36 +29,6 @@ from .exponents import ExponentCurve, RadiusCache
 from .verify import run_verify
 
 LN2 = math.log(2.0)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    preset: str | None = None
-    alpha: list = field(default_factory=list)
-    z: float | None = None
-    beta: float | None = None
-    kappa: list = field(default_factory=list)
-    rate_range: tuple | None = None  # (min, max, steps)
-    units: str = "nats"
-    seed: int = 42
-    output_path: str | None = None
-    format: str = "csv"
-
-    def validate(self):
-        if self.units not in ("nats", "bits"):
-            raise ValueError(f"unknown units {self.units!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.rate_range is not None:
-            rmin, rmax, steps = self.rate_range
-            if rmin <= 0.0:
-                raise ValueError("rate range must start above 0")
-            if steps < 2:
-                raise ValueError("rate range needs at least 2 steps")
-            if rmax <= rmin:
-                raise ValueError("rate range must be increasing")
 
 
 def _fmt(value) -> str:
@@ -105,10 +74,6 @@ def render_curve(curve: ExponentCurve, fmt: str, units: str) -> str:
     return render_rows(["R", "value", "argmax_alpha"], rows, fmt)
 
 
-def emit_curve(curve: ExponentCurve, path: str | None, fmt: str, units: str):
-    _write(render_curve(curve, fmt, units), path)
-
-
 def _write(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -117,14 +82,14 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _resolve_channel(cfg: RunConfig):
-    token = cfg.preset or cfg.input_path
+def _resolve_channel(args):
+    token = args.preset or args.input
     if token is None:
         raise ChannelFormatError("a channel is required (--input or --preset)", field="input")
-    if cfg.preset is None and os.path.exists(token):
+    if args.preset is None and os.path.exists(token):
         w, p = load_channel(token)
     else:
-        w, p = parse_preset(token, seed=cfg.seed)
+        w, p = parse_preset(token, seed=args.seed)
     if p is None:
         p = InputDistribution.uniform(w.alphabet)
     return w, p
@@ -141,24 +106,24 @@ def _parse_floats(text: str, what: str):
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_divergence(cfg: RunConfig) -> int:
-    w, _ = _resolve_channel(cfg)
-    s = _scale(cfg.units)
+def _cmd_divergence(args) -> int:
+    w, _ = _resolve_channel(args)
+    s = _scale(args.units)
     rows = []
-    for alpha in cfg.alpha:
-        params = RenyiParams(alpha, cfg.z if cfg.z is not None else alpha)
+    for alpha in args.alpha:
+        params = RenyiParams(alpha, args.z if args.z is not None else alpha)
         for x in w.alphabet:
             for y in w.alphabet:
                 val = d_alpha_z(w.output(x), w.output(y), params)
                 rows.append([x, y, alpha, params.z, float(val) * s])
-    _write(render_rows(["x", "y", "alpha", "z", "value"], rows, cfg.format), cfg.output_path)
+    _write(render_rows(["x", "y", "alpha", "z", "value"], rows, args.format), args.output)
     return 0
 
 
-def _cmd_center(cfg: RunConfig) -> int:
-    w, p = _resolve_channel(cfg)
-    alpha = cfg.alpha[0]
-    params = RenyiParams(alpha, cfg.z if cfg.z is not None else alpha)
+def _cmd_center(args) -> int:
+    w, p = _resolve_channel(args)
+    alpha = args.alpha[0]
+    params = RenyiParams(alpha, args.z if args.z is not None else alpha)
     res = solve_center_D(w, p, params)
     if not res.converged:
         sys.stderr.write(
@@ -166,12 +131,12 @@ def _cmd_center(cfg: RunConfig) -> int:
             f"(residual {res.residual:.3e})\n"
         )
         return 3
-    s = _scale(cfg.units)
-    if cfg.format == "json":
+    s = _scale(args.units)
+    if args.format == "json":
         doc = {
             "alpha": params.alpha,
             "z": params.z,
-            "units": cfg.units,
+            "units": args.units,
             "value": _json_number(res.value * s),
             "iterations": res.iterations,
             "residual": _json_number(res.residual),
@@ -181,30 +146,30 @@ def _cmd_center(cfg: RunConfig) -> int:
             "center": [[[_json_number(float(e.real)), _json_number(float(e.imag))]
                         for e in row] for row in res.center.mat],
         }
-        _write(json.dumps(doc, indent=1) + "\n", cfg.output_path)
+        _write(json.dumps(doc, indent=1) + "\n", args.output)
     else:
         rows = [[params.alpha, params.z, res.value * s, res.iterations,
                  res.residual, res.converged, res.method, res.heuristic]]
         _write(render_rows(
             ["alpha", "z", "value", "iterations", "residual", "converged",
-             "method", "heuristic"], rows, cfg.format), cfg.output_path)
+             "method", "heuristic"], rows, args.format), args.output)
     return 0
 
 
-def _cmd_chi(cfg: RunConfig) -> int:
-    w, p = _resolve_channel(cfg)
-    s = _scale(cfg.units)
+def _cmd_chi(args) -> int:
+    w, p = _resolve_channel(args)
+    s = _scale(args.units)
     rows = []
-    if cfg.beta is not None:
-        for alpha in cfg.alpha:
-            params = RenyiParams(alpha, cfg.z if cfg.z is not None else alpha)
-            value = weighted_radius_beta(w, p, params, cfg.beta)
-            rows.append([alpha, params.z, cfg.beta, value * s])
-        _write(render_rows(["alpha", "z", "beta", "value"], rows, cfg.format),
-               cfg.output_path)
+    if args.beta is not None:
+        for alpha in args.alpha:
+            params = RenyiParams(alpha, args.z if args.z is not None else alpha)
+            value = weighted_radius_beta(w, p, params, args.beta)
+            rows.append([alpha, params.z, args.beta, value * s])
+        _write(render_rows(["alpha", "z", "beta", "value"], rows, args.format),
+               args.output)
         return 0
-    for alpha in cfg.alpha:
-        params = RenyiParams(alpha, cfg.z if cfg.z is not None else alpha)
+    for alpha in args.alpha:
+        params = RenyiParams(alpha, args.z if args.z is not None else alpha)
         res = solve_center_D(w, p, params)
         if not res.converged:
             sys.stderr.write(
@@ -213,40 +178,38 @@ def _cmd_chi(cfg: RunConfig) -> int:
             )
             return 3
         rows.append([alpha, params.z, res.value * s])
-    _write(render_rows(["alpha", "z", "chi"], rows, cfg.format), cfg.output_path)
+    _write(render_rows(["alpha", "z", "chi"], rows, args.format), args.output)
     return 0
 
 
-def _cmd_exponent_curve(cfg: RunConfig) -> int:
-    w, p = _resolve_channel(cfg)
-    rmin, rmax, steps = cfg.rate_range
-    rates = np.linspace(rmin, rmax, int(steps))
-    curve = exponents.sc_curve(w, p, rates)
-    emit_curve(curve, cfg.output_path, cfg.format, cfg.units)
+def _cmd_exponent_curve(args) -> int:
+    w, p = _resolve_channel(args)
+    curve = exponents.sc_curve(w, p, np.linspace(args.rmin, args.rmax, args.steps))
+    _write(render_curve(curve, args.format, args.units), args.output)
     return 0
 
 
-def _cmd_cutoff(cfg: RunConfig) -> int:
-    w, p = _resolve_channel(cfg)
-    s = _scale(cfg.units)
+def _cmd_cutoff(args) -> int:
+    w, p = _resolve_channel(args)
+    s = _scale(args.units)
     cache = RadiusCache(w, p)
     rows = []
-    for kappa in cfg.kappa:
+    for kappa in args.kappa:
         value = exponents.cutoff_rate(w, p, kappa, cache=cache)
         rows.append([kappa, 1.0 / (1.0 - kappa), value * s])
-    _write(render_rows(["kappa", "alpha", "value"], rows, cfg.format), cfg.output_path)
+    _write(render_rows(["kappa", "alpha", "value"], rows, args.format), args.output)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     channel = None
-    token = cfg.preset or cfg.input_path or "random"
-    if cfg.preset is None and cfg.input_path and os.path.exists(cfg.input_path):
-        w, p = load_channel(cfg.input_path)
+    token = args.preset or args.input or "random"
+    if args.preset is None and args.input and os.path.exists(args.input):
+        w, p = load_channel(args.input)
         channel = (w, p or InputDistribution.uniform(w.alphabet))
     elif token != "random":
-        channel = parse_preset(token, seed=cfg.seed)
-    return run_verify(seed=cfg.seed, channel=channel)
+        channel = parse_preset(token, seed=args.seed)
+    return run_verify(seed=args.seed, channel=channel)
 
 
 # ---------------------------------------------------------------------------
@@ -300,33 +263,26 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        preset=getattr(args, "preset", None),
-        units=getattr(args, "units", "nats"),
-        seed=getattr(args, "seed", 42),
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "csv"),
-    )
+def _check_args(args):
+    """Parse the comma-separated orders and kappas and check the values that
+    argparse cannot: non-empty orders, kappas in (0, 1), an increasing rate
+    range above 0 with at least 2 steps."""
     if getattr(args, "alpha", None) is not None:
-        cfg.alpha = _parse_floats(args.alpha, "--alpha")
-        if not cfg.alpha:
+        args.alpha = _parse_floats(args.alpha, "--alpha")
+        if not args.alpha:
             raise ValueError("--alpha needs at least one value")
-    if getattr(args, "z", None) is not None:
-        cfg.z = args.z
-    if getattr(args, "beta", None) is not None:
-        cfg.beta = args.beta
     if getattr(args, "kappa", None) is not None:
-        cfg.kappa = _parse_floats(args.kappa, "--kappa")
-        for k in cfg.kappa:
+        args.kappa = _parse_floats(args.kappa, "--kappa")
+        for k in args.kappa:
             if not 0.0 < k < 1.0:
                 raise ValueError("--kappa values must lie in (0,1)")
     if args.command == "exponent-curve":
-        cfg.rate_range = (args.rmin, args.rmax, args.steps)
-    cfg.validate()
-    return cfg
+        if args.rmin <= 0.0:
+            raise ValueError("rate range must start above 0")
+        if args.steps < 2:
+            raise ValueError("rate range needs at least 2 steps")
+        if args.rmax <= args.rmin:
+            raise ValueError("rate range must be increasing")
 
 
 _HANDLERS = {
@@ -343,8 +299,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        _check_args(args)
+        return _HANDLERS[args.command](args)
     except ChannelFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    EIG_CUTOFF,
     SUPPORT_RTOL,
     HermitianOperator,
     exp_log_trace,
@@ -195,7 +196,9 @@ def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
     real overlap can sit far below SUPPORT_RTOL once raised to a/z or
     (1-a)/z > 1.  Supports whose projections overlap by at most SUPPORT_RTOL
     in Frobenius norm, sqrt Tr(P_rho P_sigma), count as orthogonal; an
-    overlap that small is below the roundoff of the product anyway.
+    overlap that small is below the roundoff of the product anyway.  Past
+    that test only roundoff is cut: eigenvalues up to EIG_CUTOFF times the
+    largest, the cutoff of the sweep kernel.
     """
     a, z = p.alpha, p.z
     rho_half = support_power(rho, a / (2.0 * z)).mat
@@ -208,7 +211,7 @@ def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
     wmax = float(w[-1])
     if wmax <= 0.0:
         return w[:0]
-    return w[w > wmax * SUPPORT_RTOL]
+    return w[w > wmax * EIG_CUTOFF]
 
 
 def q_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:

@@ -13,6 +13,12 @@ import numpy as np
 # Eigenvalues <= SUPPORT_RTOL * lambda_max are treated as zero.  The
 # relative threshold survives rescaling of the operator.
 SUPPORT_RTOL = 1e-10
+# Relative cutoff on the spectrum of a product whose supports are already
+# settled: the sweep kernel's sandwiches on the compressed, positive-definite
+# support and the sandwich of a divergence once orthogonality is decided from
+# the supports.  It guards only against roundoff, so it is far tighter than
+# SUPPORT_RTOL.
+EIG_CUTOFF = 1e-14
 # Eigenvalues within this absolute gap share a spectral projection when
 # pinching; tensor products produce degenerate spectra that must be grouped
 # deterministically.

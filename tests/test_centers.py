@@ -127,9 +127,8 @@ class TestSolveCenterD:
 
     @pytest.mark.parametrize("alpha", [4.0, 8.0])
     def test_value_is_exact_at_diagonal_center(self, alpha):
-        # W_0's 5e-4 entry weighs about 1e-13 of Q_0 at alpha = 8: a value
-        # recomputed through the public 1e-10 spectral cutoff drops it, the
-        # solve's own sweep keeps it.
+        # W_0's 5e-4 entry weighs about 1e-13 of Q_0 at alpha = 8: any
+        # relative spectral cutoff above roundoff (1e-14) would drop it.
         rows = np.array([[0.9, 0.0995, 5e-4], [0.2, 0.3, 0.5], [0.05, 0.9, 0.05]])
         weights = np.array([0.5, 0.3, 0.2])
         w = GcqChannel({str(i): HermitianOperator(np.diag(r).astype(complex))
@@ -140,6 +139,16 @@ class TestSolveCenterD:
         q = np.diag(res.center.mat).real
         want = weights @ np.log(rows ** alpha @ q ** (1.0 - alpha)) / (alpha - 1.0)
         assert res.value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_weighted_divergence_matches_solved_value(self):
+        # The sandwich spectrum of d_alpha_z is cut at roundoff only, so the
+        # public F(sigma) agrees with the solve's own sweep; a 1e-10 relative
+        # cutoff puts them 1.75e-11 apart here.
+        w, p = parse_preset("random:8:3:3")
+        params = RenyiParams.petz(4.0)
+        res = solve_center_D(w, p, params)
+        assert weighted_divergence(w, p, params, res.center) == pytest.approx(
+            res.value, rel=1e-14, abs=0.0)
 
     def test_heuristic_flag_outside_region(self):
         rng = np.random.default_rng(5)
@@ -356,6 +365,23 @@ class TestSolveCenterTsallis:
         qb = solve_center_Qbar(w, p, params)
         assert res.converged and math.isfinite(res.value)
         assert np.abs(res.center.mat / res.center.trace() - qb.center.mat).max() < 1e-8
+
+    @pytest.mark.parametrize("preset, params", [
+        ("random:2:3:4", RenyiParams.sandwiched(64.0)),
+        ("random:4:3:1", RenyiParams.petz(0.1)),
+    ])
+    def test_is_rescaled_qbar_solve(self, preset, params):
+        # Both maps are homogeneous of degree 1 - alpha, so the Tsallis
+        # center is the Q-bar center times c, c^alpha = s(alpha) chi_Qbar,
+        # and its defect is c times the Q-bar defect.  An iteration of the
+        # Tsallis map itself stops after 65 and 17 sweeps here, not 129 and 40.
+        w, p = parse_preset(preset)
+        ts = solve_center_tsallis(w, p, params)
+        qb = solve_center_Qbar(w, p, params)
+        c = (params.s * qb.value) ** (1.0 / params.alpha)
+        assert (ts.iterations, ts.method) == (qb.iterations, qb.method)
+        assert np.abs(ts.center.mat - c * qb.center.mat).max() <= 1e-13 * c
+        assert ts.residual == pytest.approx(c * qb.residual, rel=1e-14, abs=0.0)
 
     def test_map_is_unnormalized(self):
         w, p = noiseless_channel(2)

@@ -19,7 +19,8 @@ Usage, from the repository root::
 one JSON record per solve: the case, ``sweeps``, ``method``, ``converged``
 and ``value`` (or ``error``).  ``diff`` prints the sweep totals, the solves
 left unconverged or not solved by the fixed point, the solves whose sweeps
-rose, and the largest relative value change.
+rose, and the largest relative value change; then, for each kind (D, Qbar,
+T), the sweep totals and the number of solves whose sweeps or value changed.
 """
 
 from __future__ import annotations
@@ -114,6 +115,13 @@ def diff(old_path, new_path):
         if rel > worst:
             worst, where = rel, k
     print(f"largest relative value change {worst:.3g} at {where}")
+    for kind in SOLVERS:
+        keys = [k for k in old if k[1] == kind]
+        totals = [sum(recs[k].get("sweeps", 0) for k in keys) for recs in (old, new)]
+        sweeps = sum(old[k].get("sweeps") != new[k].get("sweeps") for k in keys)
+        values = sum(old[k].get("value") != new[k].get("value") for k in keys)
+        print(f"{kind}: {totals[0]} -> {totals[1]} sweeps over {len(keys)} solves, "
+              f"{sweeps} with changed sweeps, {values} with a changed value")
 
 
 def main(argv=None):
