@@ -330,7 +330,6 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
         sig_start = 0.5 * (sig_start + sig_start.conj().T)
     else:
         sig_start = sig0c
-    sig_start = sig_start / float(np.trace(sig_start).real)
 
     sigma, logq, iters, residual, ok = _run_fixed_point(
         wpows, probs, sig_start, z, spow, a, tol, max_iter, kind

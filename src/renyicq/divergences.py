@@ -188,26 +188,31 @@ def _validated(rho, sigma, p: RenyiParams, op: str):
 
 def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
                        p: RenyiParams) -> np.ndarray:
-    """Eigenvalues of rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z} on its support,
-    ascending; empty when the product vanishes.
+    """Nonzero eigenvalues of rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z}, ascending;
+    empty when the product vanishes.
 
     Orthogonality is read off the supports, not the powered product: in a
     generic basis the product of orthogonal supports is roundoff, while a
     real overlap can sit far below SUPPORT_RTOL once raised to a/z or
     (1-a)/z > 1.  Supports whose projections overlap by at most SUPPORT_RTOL
     in Frobenius norm, sqrt Tr(P_rho P_sigma), count as orthogonal; an
-    overlap that small is below the roundoff of the product anyway.  Past
-    that test only roundoff is cut: eigenvalues up to EIG_CUTOFF times the
-    largest, the cutoff of the sweep kernel.
+    overlap that small is below the roundoff of the product anyway.
+
+    The eigenvalues are the squared singular values of the block
+    V_sigma* sigma^{(1-a)/2z} rho^{a/2z} V_rho between the two supports.  A
+    structural zero of that block comes out at roundoff of its norm, so its
+    square sits near 1e-32 of the largest eigenvalue, where the full-space
+    product would leave null directions at 1e-16 that sum w^z magnifies for
+    z < 1.  Past the orthogonality test only roundoff is cut: eigenvalues up
+    to EIG_CUTOFF times the largest, the cutoff of the sweep kernel.
     """
     a, z = p.alpha, p.z
-    rho_half = support_power(rho, a / (2.0 * z)).mat
-    sig_pow = support_power(sigma, (1.0 - a) / z).mat
-    overlap = support_isometry(rho).conj().T @ support_isometry(sigma)
-    if np.linalg.norm(overlap) <= SUPPORT_RTOL:
+    v_rho, v_sig = support_isometry(rho), support_isometry(sigma)
+    if np.linalg.norm(v_rho.conj().T @ v_sig) <= SUPPORT_RTOL:
         return np.zeros(0)
-    inner = rho_half @ sig_pow @ rho_half
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    block = (v_sig.conj().T @ support_power(sigma, (1.0 - a) / (2.0 * z)).mat
+             @ support_power(rho, a / (2.0 * z)).mat @ v_rho)
+    w = np.linalg.svd(block, compute_uv=False)[::-1] ** 2
     wmax = float(w[-1])
     if wmax <= 0.0:
         return w[:0]

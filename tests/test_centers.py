@@ -374,7 +374,8 @@ class TestSolveCenterTsallis:
         # Both maps are homogeneous of degree 1 - alpha, so the Tsallis
         # center is the Q-bar center times c, c^alpha = s(alpha) chi_Qbar,
         # and its defect is c times the Q-bar defect.  An iteration of the
-        # Tsallis map itself stops after 65 and 17 sweeps here, not 129 and 40.
+        # Tsallis map itself stopped after 65 and 17 sweeps here, against the
+        # Q-bar solve's 130 and 40.
         w, p = parse_preset(preset)
         ts = solve_center_tsallis(w, p, params)
         qb = solve_center_Qbar(w, p, params)
@@ -382,6 +383,11 @@ class TestSolveCenterTsallis:
         assert (ts.iterations, ts.method) == (qb.iterations, qb.method)
         assert np.abs(ts.center.mat - c * qb.center.mat).max() <= 1e-13 * c
         assert ts.residual == pytest.approx(c * qb.residual, rel=1e-14, abs=0.0)
+        # ... and it is the defect of the returned center under the public
+        # map, up to that map's roundoff (about 1e-14 at alpha = 64).
+        defect = trace_norm(fixed_point_map_tsallis(w, p, params, ts.center).mat
+                            - ts.center.mat)
+        assert ts.residual == pytest.approx(defect, abs=1e-13)
 
     def test_map_is_unnormalized(self):
         w, p = noiseless_channel(2)

@@ -93,6 +93,24 @@ class TestQAlphaZ:
     def test_orthogonal_supports_alpha_below_one(self):
         assert q_alpha_z(PURE0, PURE1, RenyiParams(0.5, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("params", [RenyiParams.sandwiched(0.3),
+                                        RenyiParams.sandwiched(0.5),
+                                        RenyiParams(0.5, 0.2)])
+    @pytest.mark.parametrize("rvec, svec", [
+        ([1.0 - 1e-3, 1e-3], [0.0, 1.0]),
+        ([0.7, 0.3 - 1e-4, 1e-4, 0.0], [0.0, 0.0, 0.4, 0.6]),
+    ])
+    def test_rotated_rank_deficient_commuting(self, params, rvec, svec):
+        # In a generic basis the null directions of the full-space sandwich
+        # come out at roundoff, about 1e-16 absolute, and sum w^z with z < 1
+        # lifts them to about 1e-5 of Q; they must not count as spectrum.
+        want = classical_q_scalar(rvec, svec, params.alpha)
+        for seed in range(3):
+            u = unitary_group.rvs(len(rvec), random_state=seed)
+            rho = HermitianOperator(u @ np.diag(rvec) @ u.conj().T)
+            sigma = HermitianOperator(u @ np.diag(svec) @ u.conj().T)
+            assert q_alpha_z(rho, sigma, params) == pytest.approx(want, rel=1e-12)
+
     def test_zero_first_argument_rejected(self):
         with pytest.raises(ValueError):
             q_alpha_z(HermitianOperator(np.zeros((2, 2))), HALF, RenyiParams(2.0, 1.0))
