@@ -4,19 +4,20 @@ The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
 safeguarded Anderson mixing over the adaptively damped center map, on
 unit-trace iterates, which falls back to the plain damped step whenever a
 mixed iterate leaves the positive-definite cone or raises the residual.
-Nothing here assumes the iteration contracts, so every solve is guarded by a
-direct-minimization fallback and results carry an explicit ``converged``
-flag plus a fixed-point residual.  The unnormalized Tsallis map is
-homogeneous of the same degree 1 - alpha as the Q-bar map, so the Tsallis
-center is the Q-bar center rescaled once, not a third iteration.  Every map,
-on the compressed support during a solve and on the full space in the public
-``fixed_point_map_*``, is assembled by `_assemble` from one call of the
-log-domain sweep kernel ``backend.center_sweep``.  Each solve reports the
-radius that `_radius` reads off the sweep of its returned center; the same
-helper is the fallback's objective.
+Nothing here assumes the iteration contracts, so results carry an explicit
+``converged`` flag plus the trace-norm fixed-point residual; a solve that
+runs out of sweeps returns its last iterate, flagged.  The unnormalized
+Tsallis map is homogeneous of the same degree 1 - alpha as the Q-bar map,
+so the Tsallis center is the Q-bar center rescaled once, not a third
+iteration.  Every map, on the compressed support during a solve and on the
+full space in the public ``fixed_point_map_*``, is assembled by `_assemble`
+from one call of the log-domain sweep kernel ``backend.center_sweep``.  Each
+solve reports the radius that `_radius` reads off the sweep of its returned
+center: F at that state, so an upper bound on the radius whether or not the
+solve converged.
 
-That fallback, `solve_center_direct`, `weighted_radius_beta` and
-`mutual_information_direct` all search states by ``optimize.minimize_states``.
+`solve_center_direct`, `weighted_radius_beta` and
+`mutual_information_direct` search states by ``optimize.minimize_states``.
 A brute-force oracle (`oracle_grid_center`) provides an independent check
 at small dimension.
 """
@@ -172,16 +173,14 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     definite (`_anderson_step`).  A mixed step whose residual grows by more
     than 1.25x is undone and the history dropped; a plain step that does so
     is undone and gamma halved.  No mixing while gamma > 1 (the alpha << 1
-    extrapolation, clipped to the PSD cone instead).  The stop test is the
-    trace-norm residual of the returned iterate; ``iterations`` counts
-    sweeps.
+    extrapolation, clipped to the PSD cone instead).  The one stop test is
+    the trace-norm residual of the iterate, computed only once its Frobenius
+    norm, never larger, is within tol; ``iterations`` counts sweeps.
 
     Returns (sigma, logq, iterations, trace-norm residual, converged), where
     logq is the sweep of the returned sigma itself, so `_radius` reads the
     solve's value off it.
     """
-    k = sigma0.shape[0]
-    sqrt_k = math.sqrt(k)
     sigma = sigma0 / float(np.trace(sigma0).real)
     gamma = min(1.0, 1.0 / alpha)
     history = []
@@ -198,8 +197,6 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             )
         diff = _assemble(kind, ghat, logq, probs) - sigma
         res_f = float(np.linalg.norm(diff))
-        if res_f * sqrt_k <= tol:
-            return sigma, logq, it, trace_norm(diff), True
         if res_f <= tol:
             tn = trace_norm(diff)
             if tn <= tol:
@@ -311,9 +308,10 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 
 def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
     """The D or the Q-bar center: the fixed-point solve on the compressed
-    support, with the direct fallback.  ``value`` is `_radius` at the
-    returned center, read off its own sweep; outside the proven parameter
-    region the result is stamped ``heuristic``.
+    support.  ``value`` is `_radius` at the returned center, read off its own
+    sweep; an unconverged solve returns the loop's last iterate, flagged, so
+    its value is F at a state and an upper bound on the radius.  Outside the
+    proven parameter region the result is stamped ``heuristic``.
     """
     _require_finite_z(params, f"solve_center_{kind}")
     report = classify_region(params)
@@ -323,8 +321,6 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
         proven = report.in_Gamma_Qbar and report.second_arg_convex_Qbar
     iso, symbols, probs, wpows, sig0c, w_traces = _compressed_problem(w, p, params)
     a, z = params.alpha, params.z
-    spow = (1.0 - a) / (2.0 * z)
-    log_traces = np.log(w_traces)
     if sigma0 is not None:
         sig_start = iso.conj().T @ herm(sigma0).mat @ iso
         sig_start = 0.5 * (sig_start + sig_start.conj().T)
@@ -332,22 +328,11 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
         sig_start = sig0c
 
     sigma, logq, iters, residual, ok = _run_fixed_point(
-        wpows, probs, sig_start, z, spow, a, tol, max_iter, kind
+        wpows, probs, sig_start, z, (1.0 - a) / (2.0 * z), a, tol, max_iter, kind
     )
-    method = FIXED_POINT
-    if not ok:
-        def objective(s):
-            return _radius(kind, s, backend.q_sweep(s, wpows, z, spow), probs, a, log_traces)
-
-        sigma_nm, value = minimize_states(objective, [sigma, sig0c])
-        if value < _radius(kind, sigma, logq, probs, a, log_traces):
-            sigma, method = sigma_nm, DIRECT_MINIMIZATION
-            ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
-            residual = trace_norm(_assemble(kind, ghat, logq, probs) - sigma)
-        ok = residual <= tol
-    value = _radius(kind, sigma, logq, probs, a, log_traces)
+    value = _radius(kind, sigma, logq, probs, a, np.log(w_traces))
     return CenterResult(DensityOperator(_embed(iso, sigma)), value, iters, residual, ok,
-                        method, not proven)
+                        FIXED_POINT, not proven)
 
 
 def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
@@ -356,8 +341,8 @@ def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
     Q_x is homogeneous of degree 1 - alpha in sigma, so log Q_x(sigma / Tr
     sigma) = logq - (1 - alpha) log Tr sigma.  For D this gives sum_x P(x)
     (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar the signed radius
-    s(alpha) sum_x P(x) Q_x.  This is both the fallback's objective and
-    every reported value.
+    s(alpha) sum_x P(x) Q_x.  Every solve reports this value; at any state it
+    is the solve's own objective, so it bounds the radius from above.
     """
     logq = logq - (1.0 - alpha) * math.log(float(np.trace(sigma).real))
     if kind == "Qbar":
@@ -374,8 +359,10 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     """Weighted divergence center and radius chi_{alpha,z}(W, P).
 
     Anderson-mixed damped fixed-point iteration from W(P) restricted to its
-    support, with a direct-minimization fallback.  Outside the proven
-    parameter region the result is stamped ``heuristic``.
+    support.  A solve that does not reach ``tol`` within ``max_iter`` sweeps
+    returns its last iterate with ``converged=False``; its ``value`` is F
+    there, an upper bound on the radius.  Outside the proven parameter region
+    the result is stamped ``heuristic``.
     """
     return _solve_common(w, p, params, tol, max_iter, sigma0, "D")
 

@@ -70,7 +70,7 @@ class ClassicalChannel:
         inner = np.einsum("x,xj->j", self.weights, self.rows ** alpha)
         return alpha / (alpha - 1.0) * math.log(float(np.sum(inner ** (1.0 / alpha))))
 
-    def augustin_radius(self, alpha: float, gtol: float = 1e-13) -> float:
+    def augustin_radius(self, alpha: float) -> float:
         """min_q sum_x w_x D_alpha(p_x || q) by softmax-BFGS with analytic gradient.
 
         Everything is kept in the log domain: with t = log q, the gradient in
@@ -98,9 +98,9 @@ class ClassicalChannel:
 
         theta0 = np.log(np.maximum(self.average[cols], 1e-12))
         res = optimize.minimize(fun_grad, theta0, jac=True, method="BFGS",
-                                options={"gtol": gtol, "maxiter": 2000})
+                                options={"gtol": 1e-13, "maxiter": 2000})
         res = optimize.minimize(fun_grad, res.x, jac=True, method="BFGS",
-                                options={"gtol": gtol, "maxiter": 2000})
+                                options={"gtol": 1e-13, "maxiter": 2000})
         value = float(res.fun)
         self._radius[alpha] = value
         return value
@@ -165,16 +165,20 @@ class ClassicalChannel:
         self._dmax = exact
         return exact
 
-    def sc_exponent(self, rate: float, u_cap: float = 1.0 - 1.0 / 1024.0,
-                    grid_points: int = 600) -> float:
-        """sup_{alpha>1} (1-1/alpha)(R - augustin_radius(alpha)), clamped at 0."""
+    def sc_exponent(self, rate: float) -> float:
+        """sup_{alpha>1} (1-1/alpha)(R - augustin_radius(alpha)), clamped at 0.
+
+        Grid of 600 points u = 1 - 1/alpha in [0, 1 - 1/1024], then bounded
+        refinement between the neighbours of the grid argmax; the alpha ->
+        inf endpoint is R - dmax_radius.
+        """
 
         def g(u):
             if u <= 0.0:
                 return 0.0
             return u * (rate - self.augustin_radius(1.0 / (1.0 - u)))
 
-        us = np.linspace(0.0, u_cap, grid_points)
+        us = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 600)
         gs = [g(u) for u in us]
         j = int(np.argmax(gs))
         lo, hi = us[max(j - 1, 0)], us[min(j + 1, len(us) - 1)]
@@ -184,14 +188,17 @@ class ClassicalChannel:
         best = max(max(gs), -float(res.fun), rate - self.dmax_radius())
         return max(0.0, best)
 
-    def sphere_packing(self, rate: float, alpha_min: float = 1e-3,
-                       grid_points: int = 400) -> float:
-        """sup_{alpha in (alpha_min, 1)} ((alpha-1)/alpha)(R - augustin_radius)."""
+    def sphere_packing(self, rate: float) -> float:
+        """sup_{alpha in (1e-3, 1)} ((alpha-1)/alpha)(R - augustin_radius).
+
+        Geometric grid of 400 orders, then bounded refinement between the
+        neighbours of the grid argmax.
+        """
 
         def g(a):
             return (a - 1.0) / a * (rate - self.augustin_radius(a))
 
-        grid = np.geomspace(alpha_min, 1.0 - 1e-6, grid_points)
+        grid = np.geomspace(1e-3, 1.0 - 1e-6, 400)
         gs = [g(a) for a in grid]
         j = int(np.argmax(gs))
         lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]

@@ -202,13 +202,9 @@ def _cmd_cutoff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    channel = None
+    # The bare token "random" (the default) lets verify draw its own channels.
     token = args.preset or args.input or "random"
-    if args.preset is None and args.input and os.path.exists(args.input):
-        w, p = load_channel(args.input)
-        channel = (w, p or InputDistribution.uniform(w.alphabet))
-    elif token != "random":
-        channel = parse_preset(token, seed=args.seed)
+    channel = None if token == "random" else _resolve_channel(args)
     return run_verify(seed=args.seed, channel=channel)
 
 

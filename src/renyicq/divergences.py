@@ -163,17 +163,17 @@ def _check_nonzero(rho: HermitianOperator, op: str) -> float:
     return tr
 
 
-def support_dominated(rho: HermitianOperator, sigma: HermitianOperator,
-                      rtol: float = SUPPORT_LEAK_RTOL) -> bool:
+def support_dominated(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     """Whether the support of rho lies inside the support of sigma.
 
-    Measured as the relative weight of rho outside ran(sigma^0).
+    Measured as the relative weight of rho outside ran(sigma^0), at most
+    SUPPORT_LEAK_RTOL.
     """
     rho, sigma = herm(rho), herm(sigma)
     proj = support_projection(sigma).mat
     inside = float(np.trace(proj @ rho.mat @ proj).real)
     total = rho.trace()
-    return total - inside <= rtol * max(total, 1e-300)
+    return total - inside <= SUPPORT_LEAK_RTOL * max(total, 1e-300)
 
 
 def _validated(rho, sigma, p: RenyiParams, op: str):
@@ -303,13 +303,17 @@ def d_max(rho: HermitianOperator, sigma: HermitianOperator) -> float:
 
 
 def tsallis(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
-    """Tsallis (alpha,z)-divergence (1/(1-alpha))(a Tr rho + (1-a) Tr sigma - Q)."""
+    """Tsallis (alpha,z)-divergence (1/(1-alpha))(a Tr rho + (1-a) Tr sigma - Q).
+
+    A support violation gives SUPPORT_INF; a Q that overflows gives a plain
+    +inf.
+    """
     p.require_not_one("tsallis")
     if p.is_log_euclidean:
         raise ValueError("tsallis requires finite z")
     rho, sigma = herm(rho), herm(sigma)
     q = q_alpha_z(rho, sigma, p)
-    if math.isinf(q):
+    if isinstance(q, SupportViolationInfinity):
         return SUPPORT_INF
     a = p.alpha
     return (a * rho.trace() + (1.0 - a) * sigma.trace() - q) / (1.0 - a)

@@ -201,13 +201,13 @@ def _dmax_radius(mats, probs, start):
     return best, sigma / float(np.trace(sigma).real)
 
 
-def _golden_max(f, lo, hi, iters):
-    """Golden-section maximum on [lo, hi]; returns the best probe seen."""
+def _golden_max(f, lo, hi, f_lo, f_hi, iters):
+    """Golden-section maximum on [lo, hi], given f_lo = f(lo) and f_hi =
+    f(hi); returns the best probe seen."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_f = lo, f(lo)
-    fh = f(hi)
-    if fh > best_f:
-        best_x, best_f = hi, fh
+    best_x, best_f = lo, f_lo
+    if f_hi > best_f:
+        best_x, best_f = hi, f_hi
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
@@ -231,9 +231,8 @@ def _refined_grid_max(f, grid, values, iters):
     """Argmax of ``values`` on ``grid``, refined by golden section of f between
     its grid neighbours; returns (grid index, best point, best value)."""
     j = int(np.argmax(values))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    return (j, *_golden_max(f, lo, hi, iters))
+    lo, hi = max(j - 1, 0), min(j + 1, len(grid) - 1)
+    return (j, *_golden_max(f, grid[lo], grid[hi], values[lo], values[hi], iters))
 
 
 def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
@@ -318,7 +317,8 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     def g(alpha):
         try:
             return (alpha - 1.0) / alpha * (rate - cache.chi(alpha))
-        except NonConvergenceError:
+        except NonConvergenceError as exc:
+            warnings.warn(f"dropping alpha={alpha:.6g}: {exc}")
             return -math.inf
 
     grid = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, DEFAULT_GRID_POINTS)
@@ -356,15 +356,14 @@ def _weighted_petz(w, p, avg, alpha) -> float:
     return total
 
 
-def _random_coding_sup(w, p, rate, penalty, grid_points=41,
-                       refine_iters=DEFAULT_REFINE_ITERS):
+def _random_coding_sup(w, p, rate, penalty):
     avg = DensityOperator(average_output(w, p).mat)
 
     def g(alpha):
         return (alpha - 1.0) * (rate - _weighted_petz(w, p, avg, alpha) + penalty)
 
-    grid = np.linspace(0.0, 1.0, grid_points)
-    _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid], refine_iters)
+    grid = np.linspace(0.0, 1.0, 41)
+    _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid], DEFAULT_REFINE_ITERS)
     return max(0.0, float(g_star))
 
 

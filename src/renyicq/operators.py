@@ -66,16 +66,8 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return bool(self.eigenvalues[0] >= -tol)
-
-    def apply_spectral(self, f) -> "HermitianOperator":
-        """V f(w) V^dagger for a real function f of the eigenvalues."""
-        w, v = self.eig
-        fw = np.asarray(f(w), dtype=float)
-        out = HermitianOperator((v * fw) @ v.conj().T)
-        out._eig = (fw, v) if np.all(np.diff(fw) >= 0) else None
-        return out
+    def is_psd(self) -> bool:
+        return bool(self.eigenvalues[0] >= -PSD_TOL)
 
     def __repr__(self):  # pragma: no cover
         return f"HermitianOperator(dim={self.dim})"
@@ -157,12 +149,12 @@ def support_isometry(a: HermitianOperator) -> np.ndarray:
     return v[:, w > float(w[-1]) * SUPPORT_RTOL]
 
 
-def spectral_clusters(a: HermitianOperator, gap: float = PINCH_GAP):
-    """Indices of eigenvalues grouped into clusters separated by > gap."""
+def spectral_clusters(a: HermitianOperator):
+    """Indices of eigenvalues grouped into clusters separated by > PINCH_GAP."""
     w = herm(a).eigenvalues
     clusters = [[0]]
     for i in range(1, len(w)):
-        if w[i] - w[i - 1] < gap:
+        if w[i] - w[i - 1] < PINCH_GAP:
             clusters[-1].append(i)
         else:
             clusters.append([i])

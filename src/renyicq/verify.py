@@ -114,8 +114,8 @@ def check_commuting_exp_log(ctx):
 # divergences
 # ---------------------------------------------------------------------------
 
-def _sample_params(rng, include_inf=True):
-    if include_inf and rng.random() < 0.15:
+def _sample_params(rng):
+    if rng.random() < 0.15:
         return RenyiParams(float(rng.uniform(1.05, 3.0)), INF_Z)
     alpha = float(rng.uniform(0.05, 3.0))
     if abs(alpha - 1.0) < 1e-3:

@@ -7,7 +7,6 @@ from _helpers import diagonal_channel, random_state_mat, scalar_center_map
 from renyicq.centers import (
     CLOSED_FORM_Z1,
     DEFAULT_TOL,
-    DIRECT_MINIMIZATION,
     FIXED_POINT,
     ORACLE_GRID,
     closed_form_center_z1,
@@ -460,9 +459,9 @@ class TestSolveCenterDirect:
         assert abs(direct.value - reference) < 1e-5
 
 
-class TestDirectMinimizationFallback:
-    """One fixed-point sweep leaves a solve unconverged, so it falls back to
-    direct minimization over states."""
+class TestUnconvergedSolve:
+    """One fixed-point sweep leaves a solve unconverged: it returns its last
+    iterate, flagged, without a search over states."""
 
     @pytest.mark.parametrize("alpha", [0.7, 2.0])
     @pytest.mark.parametrize("solver, phi", [
@@ -470,14 +469,20 @@ class TestDirectMinimizationFallback:
         (solve_center_Qbar, fixed_point_map_Qbar),
         (solve_center_tsallis, fixed_point_map_tsallis),
     ])
-    def test_forced_fallback(self, solver, phi, alpha):
+    def test_returns_last_iterate(self, solver, phi, alpha, monkeypatch):
         w, p = parse_preset("random:2:3:7")
         params = RenyiParams.sandwiched(alpha)
-        forced = solver(w, p, params, max_iter=1)
         solved = solver(w, p, params)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("minimize_states called")
+
+        monkeypatch.setattr("renyicq.centers.minimize_states", no_search)
+        forced = solver(w, p, params, max_iter=1)
         assert solved.converged and solved.method == FIXED_POINT
-        assert forced.method == DIRECT_MINIMIZATION
-        assert abs(forced.value - solved.value) <= 1e-6
+        assert forced.method == FIXED_POINT
+        assert forced.iterations == 1
+        assert forced.value >= solved.value - 1e-12
         defect = trace_norm(phi(w, p, params, forced.center).mat - forced.center.mat)
         assert forced.residual == pytest.approx(defect, rel=1e-6, abs=1e-15)
         assert forced.converged == (forced.residual <= DEFAULT_TOL)

@@ -244,6 +244,16 @@ class TestTsallis:
         with pytest.raises(ValueError):
             tsallis(P_HALF, Q_SKEW, RenyiParams(2.0, INF_Z))
 
+    def test_overflow_is_not_a_support_violation(self):
+        rho = HermitianOperator(np.diag([0.6, 0.4]))
+        with np.errstate(over="ignore"):
+            got = tsallis(rho, HermitianOperator(np.diag([0.5, 0.5])),
+                          RenyiParams.sandwiched(4096.0))
+        assert got == math.inf
+        assert not isinstance(got, SupportViolationInfinity)
+        leak = tsallis(rho, HermitianOperator(np.diag([1.0, 0.0])), RenyiParams(2.0, 2.0))
+        assert isinstance(leak, SupportViolationInfinity)
+
 
 class TestDHat:
     def test_projective(self):

@@ -257,6 +257,27 @@ class TestSpherePacking:
         want = (1.0 - alpha_min) / alpha_min * (LN2 - rate)
         assert value == pytest.approx(want, rel=1e-3)
 
+    def test_partial_drop_warns_and_succeeds(self, random_channel):
+        from renyicq.exceptions import NonConvergenceError
+
+        w, p, _ = random_channel
+        real = RadiusCache(w, p, "petz")
+        rate = 0.85 * holevo_quantity(w, p)[0]
+        want = sphere_packing_bound(w, p, rate, cache=real)
+        dropped = np.geomspace(1e-3, 1.0 - 1e-6, 40)[5]
+
+        class Flaky:
+            def chi(self, alpha):
+                if alpha == dropped:
+                    raise NonConvergenceError("stub")
+                return real.chi(alpha)
+
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            value = sphere_packing_bound(w, p, rate, cache=Flaky())
+        assert any("dropping alpha" in str(entry.message) for entry in log)
+        assert value == pytest.approx(want, abs=1e-12)
+
     def test_classical_consistency(self):
         rng = np.random.default_rng(11)
         w, p, rows, weights = diagonal_channel(rng)
