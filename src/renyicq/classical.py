@@ -1,10 +1,15 @@
 """Scalar reference implementations on probability vectors.
 
-These validate the operator path and share no code with it: weighted radii
-are found by BFGS on a softmax parametrization with an analytic gradient,
-and the exponent suprema use a dense order grid plus bounded scalar
-refinement.  Everything here works on plain stochastic matrices (one row
-per input symbol).
+These validate the operator path and share no code with it.  The weighted
+(Augustin) radius min_q sum_x w_x D_alpha(p_x || q) is found by a damped
+Newton method in the softmax coordinates theta (q = softmax theta), with the
+exact gradient and Hessian, run on a whole batch of orders at once.  Each
+order stops when the sup norm of its gradient reaches 1e-14 or when no step
+is accepted; an order whose gradient is then above 1e-12 raises
+NonConvergenceError instead of returning a value.  The exponent suprema use
+a dense order grid, solved as one batch, plus bounded scalar refinement.
+Everything here works on plain stochastic matrices (one row per input
+symbol).
 """
 
 from __future__ import annotations
@@ -13,15 +18,36 @@ import math
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
+
+from .exceptions import NonConvergenceError
+
+# Newton steps per order before the order is given up.
+_MAX_NEWTON = 100
+# An order stops at this gradient sup norm and is certified at the next.
+_GTOL_STOP = 1e-14
+_GTOL_CERT = 1e-12
 
 
-def classical_q(p, q, alpha: float) -> float:
-    """sum_j p_j^alpha q_j^(1-alpha) over the common support."""
+def _lse(x):
+    """log sum exp over the last axis; scipy's logsumexp costs ~10x more on small arrays."""
+    top = x.max(axis=-1, keepdims=True)
+    return top[..., 0] + np.log(np.sum(np.exp(x - top), axis=-1))
+
+
+def _log_q(p, q, alpha: float) -> float:
+    """log sum_j p_j^alpha q_j^(1-alpha) over the common support."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     on = (p > 0.0) & (q > 0.0)
-    return float(np.sum(p[on] ** alpha * q[on] ** (1.0 - alpha)))
+    if not np.any(on):
+        return -math.inf
+    return float(_lse(alpha * np.log(p[on]) + (1.0 - alpha) * np.log(q[on])))
+
+
+def classical_q(p, q, alpha: float) -> float:
+    """sum_j p_j^alpha q_j^(1-alpha) over the common support (+inf on overflow)."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_q(p, q, alpha)))
 
 
 def classical_divergence(p, q, alpha: float) -> float:
@@ -35,10 +61,100 @@ def classical_divergence(p, q, alpha: float) -> float:
         return float(np.sum(p[on] * (np.log(p[on]) - np.log(q[on]))))
     if alpha > 1.0 and np.any((p > 0.0) & (q <= 0.0)):
         return math.inf
-    value = classical_q(p, q, alpha)
-    if value <= 0.0:
+    log_value = _log_q(p, q, alpha)
+    if log_value == -math.inf:
         return math.inf
-    return math.log(value) / (alpha - 1.0)
+    return log_value / (alpha - 1.0)
+
+
+def _augustin_objective(logp, weights, alphas, t):
+    """F, its gradient in theta and the tilted responsibilities, per order.
+
+    ``t`` holds one normalized log q per row of ``alphas``.  Near alpha = 1
+    log Q_x is formed as log1p(sum_j p_xj expm1(s_xj)) with
+    s = (alpha - 1) log(p/q), which keeps its relative precision where the
+    log-sum-exp form loses about eps/(alpha - 1) of F to cancellation.
+    """
+    am1 = alphas - 1.0
+    on = np.isfinite(logp)
+    ratio = np.where(on, logp - t[:, None, :], 0.0)
+    s = am1[:, None, None] * ratio
+    logterms = logp + s
+    log_qx = _lse(logterms)
+    r = np.exp(logterms - log_qx[:, :, None])
+    grad = np.exp(t) - np.einsum("x,nxj->nj", weights, r)
+    near = np.abs(am1) * np.abs(ratio).max(axis=(1, 2)) < 0.5
+    if np.any(near):
+        log_qx[near] = np.log1p(np.sum(np.exp(logp) * np.expm1(s[near]), axis=2))
+    return log_qx @ weights / am1, grad, r
+
+
+def _newton_direction(t, r, grad, weights, alphas):
+    """Solve (H + 11^T) d = -grad; fall back to -grad where d is no descent.
+
+    H = diag(q) - qq^T + (alpha - 1) sum_x w_x (diag(r_x) - r_x r_x^T) is
+    the Hessian in theta.  H 1 = 0, and adding 11^T fixes the component
+    along 1 that the softmax ignores.
+    """
+    q = np.exp(t)
+    am1 = (alphas - 1.0)[:, None]
+    wr = r * weights[None, :, None]
+    hess = 1.0 - q[:, :, None] * q[:, None, :] - am1[:, :, None] * (wr.transpose(0, 2, 1) @ r)
+    diag = np.arange(q.shape[1])
+    # q - grad = sum_x w_x r_x
+    hess[:, diag, diag] += q + am1 * (q - grad)
+    try:
+        d = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return -grad
+    descent = np.sum(d * grad, axis=1) < 0.0
+    return np.where(descent[:, None], d, -grad)
+
+
+def _augustin_newton(logp, weights, alphas, t0):
+    """Damped Newton from t0 for every order at once; returns F and |grad|_inf.
+
+    A step is accepted on the Armijo test, or when it halves |grad|_inf
+    while raising F by at most 1e-15 max(1, |F|): near alpha = 1 F is known
+    to a few ulps only, and the Armijo test alone would stall there.  Both
+    tests compare the change in F, so a step that leaves F unchanged is
+    not accepted.  The step is halved until it moves log q by under 1e-16,
+    where no smaller step could change the iterate; an order with no
+    accepted step then stops.
+    """
+    t = np.tile(t0, (len(alphas), 1))
+    f, grad, r = _augustin_objective(logp, weights, alphas, t)
+    norm = np.abs(grad).max(axis=1)
+    active = np.flatnonzero(norm > _GTOL_STOP)
+    for _ in range(_MAX_NEWTON):
+        if active.size == 0:
+            break
+        d = _newton_direction(t[active], r[active], grad[active], weights, alphas[active])
+        slope = np.sum(d * grad[active], axis=1)
+        reach = np.abs(d).max(axis=1)
+        step = np.ones(active.size)
+        moved = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        while pending.size:
+            idx = active[pending]
+            trial = t[idx] + step[pending, None] * d[pending]
+            trial -= _lse(trial)[:, None]
+            f1, g1, r1 = _augustin_objective(logp, weights, alphas[idx], trial)
+            n1 = np.abs(g1).max(axis=1)
+            rise = f1 - f[idx]
+            ok = np.isfinite(f1) & np.isfinite(n1) & (
+                (rise <= 1e-4 * step[pending] * slope[pending])
+                | ((n1 <= 0.5 * norm[idx])
+                   & (rise <= 1e-15 * np.maximum(1.0, np.abs(f[idx])))))
+            took = idx[ok]
+            t[took], f[took], grad[took], r[took], norm[took] = (
+                trial[ok], f1[ok], g1[ok], r1[ok], n1[ok])
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+            pending = pending[step[pending] * reach[pending] > 1e-16]
+        active = active[moved & (norm[active] > _GTOL_STOP)]
+    return f, norm
 
 
 class ClassicalChannel:
@@ -53,8 +169,13 @@ class ClassicalChannel:
             raise ValueError("rows must be probability vectors")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise ValueError("weights must be a probability vector")
+        # alpha -> (radius, sup norm of the gradient at the returned minimizer)
         self._radius = {}
         self._dmax = None
+        # Columns some row reaches, and log p on them (-inf off each row's support).
+        self._cols = self.rows.max(axis=0) > 0.0
+        with np.errstate(divide="ignore"):
+            self._logp = np.log(self.rows[:, self._cols])
 
     @property
     def average(self):
@@ -71,39 +192,39 @@ class ClassicalChannel:
         return alpha / (alpha - 1.0) * math.log(float(np.sum(inner ** (1.0 / alpha))))
 
     def augustin_radius(self, alpha: float) -> float:
-        """min_q sum_x w_x D_alpha(p_x || q) by softmax-BFGS with analytic gradient.
+        """min_q sum_x w_x D_alpha(p_x || q), certified to |grad|_inf <= 1e-12.
 
-        Everything is kept in the log domain: with t = log q, the gradient in
-        the softmax parameter is q - sum_x w_x r_x where r_xj are the
-        tilted responsibilities p_xj^a q_j^(1-a) / Q_x.
+        With theta = log q up to a constant, the gradient is
+        g = q - sum_x w_x r_x, where r_xj = p_xj^a q_j^(1-a) / Q_x are the
+        tilted responsibilities, and the Hessian is
+        H = diag(q) - qq^T + (alpha - 1) sum_x w_x (diag(r_x) - r_x r_x^T).
+        From q = P W, damped Newton steps (H + 11^T) d = -g, or -g where d is
+        no descent direction (possible for alpha < 1), run until |g|_inf
+        <= 1e-14 or no step is accepted.  If |g|_inf is then above 1e-12 the
+        order raises NonConvergenceError.  Values are cached with that norm.
         """
-        cached = self._radius.get(alpha)
-        if cached is not None:
-            return cached
-        weights = self.weights
-        cols = self.rows.max(axis=0) > 0.0
-        sub = self.rows[:, cols]
-        with np.errstate(divide="ignore"):
-            logp = np.where(sub > 0.0, np.log(np.maximum(sub, 1e-300)), -np.inf)
+        if alpha not in self._radius:
+            self._solve([alpha])
+        return self._radius[alpha][0]
 
-        def fun_grad(theta):
-            t = theta - logsumexp(theta)
-            logterms = np.where(np.isfinite(logp),
-                                alpha * logp + (1.0 - alpha) * t[None, :], -np.inf)
-            log_qx = logsumexp(logterms, axis=1)
-            f = float(weights @ log_qx) / (alpha - 1.0)
-            r = np.exp(logterms - log_qx[:, None])
-            grad = np.exp(t) - weights @ r
-            return f, grad
-
-        theta0 = np.log(np.maximum(self.average[cols], 1e-12))
-        res = optimize.minimize(fun_grad, theta0, jac=True, method="BFGS",
-                                options={"gtol": 1e-13, "maxiter": 2000})
-        res = optimize.minimize(fun_grad, res.x, jac=True, method="BFGS",
-                                options={"gtol": 1e-13, "maxiter": 2000})
-        value = float(res.fun)
-        self._radius[alpha] = value
-        return value
+    def _solve(self, alphas):
+        """Solve and cache every order of ``alphas`` not yet cached, as one batch."""
+        todo = np.array([a for a in dict.fromkeys(map(float, alphas))
+                         if a not in self._radius])
+        if todo.size == 0:
+            return
+        if np.any(todo <= 0.0) or np.any(todo == 1.0):
+            raise ValueError("orders must be positive and differ from 1")
+        t0 = np.log(np.maximum(self.average[self._cols], 1e-12))
+        values, norms = _augustin_newton(self._logp, self.weights, todo, t0 - _lse(t0))
+        certified = np.isfinite(values) & (norms <= _GTOL_CERT)
+        for alpha, value, norm in zip(todo[certified], values[certified], norms[certified]):
+            self._radius[float(alpha)] = (float(value), float(norm))
+        if not np.all(certified):
+            j = int(np.flatnonzero(~certified)[0])
+            raise NonConvergenceError(
+                f"Augustin radius at alpha={float(todo[j])!r} not certified: "
+                f"|grad|_inf = {norms[j]:.2e} > {_GTOL_CERT:.0e}")
 
     def dmax_radius(self) -> float:
         """min_q sum_x w_x log max_j (p_xj / q_j), solved exactly.
@@ -116,12 +237,8 @@ class ClassicalChannel:
         """
         if self._dmax is not None:
             return self._dmax
-        rows, weights = self.rows, self.weights
-        cols = rows.max(axis=0) > 0.0
-        sub = rows[:, cols]
-        n_x, k = sub.shape
-        with np.errstate(divide="ignore"):
-            logp = np.where(sub > 0.0, np.log(np.maximum(sub, 1e-300)), -np.inf)
+        weights, logp = self.weights, self._logp
+        n_x, k = logp.shape
 
         def objective(y):
             return float(weights @ y[k:])
@@ -150,7 +267,7 @@ class ClassicalChannel:
             return g
 
         cons.append({"type": "ineq", "fun": budget, "jac": budget_jac})
-        t0 = np.log(np.maximum(self.average[cols], 1e-12))
+        t0 = np.log(np.maximum(self.average[self._cols], 1e-12))
         m0 = np.array([np.max(logp[x][np.isfinite(logp[x])] - t0[np.isfinite(logp[x])])
                        for x in range(n_x)]) + 1e-6
         y0 = np.concatenate([t0, m0])
@@ -168,9 +285,9 @@ class ClassicalChannel:
     def sc_exponent(self, rate: float) -> float:
         """sup_{alpha>1} (1-1/alpha)(R - augustin_radius(alpha)), clamped at 0.
 
-        Grid of 600 points u = 1 - 1/alpha in [0, 1 - 1/1024], then bounded
-        refinement between the neighbours of the grid argmax; the alpha ->
-        inf endpoint is R - dmax_radius.
+        Grid of 600 points u = 1 - 1/alpha in [0, 1 - 1/1024], solved as one
+        batch, then bounded refinement between the neighbours of the grid
+        argmax; the alpha -> inf endpoint is R - dmax_radius.
         """
 
         def g(u):
@@ -179,6 +296,7 @@ class ClassicalChannel:
             return u * (rate - self.augustin_radius(1.0 / (1.0 - u)))
 
         us = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 600)
+        self._solve(1.0 / (1.0 - us[us > 0.0]))
         gs = [g(u) for u in us]
         j = int(np.argmax(gs))
         lo, hi = us[max(j - 1, 0)], us[min(j + 1, len(us) - 1)]
@@ -191,14 +309,15 @@ class ClassicalChannel:
     def sphere_packing(self, rate: float) -> float:
         """sup_{alpha in (1e-3, 1)} ((alpha-1)/alpha)(R - augustin_radius).
 
-        Geometric grid of 400 orders, then bounded refinement between the
-        neighbours of the grid argmax.
+        Geometric grid of 400 orders, solved as one batch, then bounded
+        refinement between the neighbours of the grid argmax.
         """
 
         def g(a):
             return (a - 1.0) / a * (rate - self.augustin_radius(a))
 
         grid = np.geomspace(1e-3, 1.0 - 1e-6, 400)
+        self._solve(grid)
         gs = [g(a) for a in grid]
         j = int(np.argmax(gs))
         lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]

@@ -70,3 +70,17 @@ def test_no_private_imports_across_modules():
                 offenders += [f"{path.name}: from .{node.module or ''} import {a.name}"
                               for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_classical_oracle_imports_no_solver_code():
+    # The scalar oracle checks the operator path, so it may use only the
+    # standard numerics and the shared exception types.
+    allowed = {"__future__", "math", "numpy", "scipy", ".exceptions"}
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "classical.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add("." * node.level + (module if node.level else module.split(".")[0]))
+    assert imported <= allowed, sorted(imported - allowed)
