@@ -1,9 +1,9 @@
 """Weighted divergence centers and radii of gcq channels.
 
 The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
-safeguarded Anderson mixing over the adaptively damped center map, on
-unit-trace iterates, which falls back to the plain damped step whenever a
-mixed iterate leaves the positive-definite cone or raises the residual.
+safeguarded Anderson mixing over the damped center map, on unit-trace
+iterates, which falls back to the plain damped step whenever a mixed
+iterate leaves the positive-definite cone or raises the residual.
 Nothing here assumes the iteration contracts, so results carry an explicit
 ``converged`` flag plus the trace-norm fixed-point residual; a solve that
 runs out of sweeps returns its last iterate, flagged.  The unnormalized
@@ -53,11 +53,11 @@ ORACLE_GRID = "oracle_grid"
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
-# Damping schedule: start at min(1, 1/alpha) (the multiplier of the
-# linearized map is 1-alpha on commuting directions), halve whenever a plain
-# step is undone, down to 2^-10, and for alpha << 1 switch to guarded
-# extrapolation ~ 1/alpha.
-_GAMMA_FLOOR = 2.0 ** -10
+# Damping: gamma = min(1, 1/alpha) (the multiplier of the linearized map is
+# 1-alpha on commuting directions); for alpha < 0.1 it switches after 40
+# sweeps to the extrapolation 1/alpha, capped, since a larger step can land
+# on the boundary of the state space and converge to a wrong fixed point
+# there.
 _GAMMA_CAP = 50.0
 
 # Anderson mixing (Walker & Ni 2011): residual differences kept, and the
@@ -168,11 +168,11 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     unit-trace iterates on the compressed space.
 
     The base step is the damped map g(sigma) = sigma + gamma (Phi(sigma) - sigma)
-    with the adaptive gamma below; Anderson(_ANDERSON_DEPTH) mixing over the
+    with the fixed gamma above; Anderson(_ANDERSON_DEPTH) mixing over the
     recent damped steps replaces it whenever the mixed iterate is positive
     definite (`_anderson_step`).  A mixed step whose residual grows by more
-    than 1.25x is undone and the history dropped; a plain step that does so
-    is undone and gamma halved.  No mixing while gamma > 1 (the alpha << 1
+    than 1.25x is undone and the history dropped, the one undo; plain steps
+    are always kept.  No mixing while gamma > 1 (the alpha < 0.1
     extrapolation, clipped to the PSD cone instead).  The one stop test is
     the trace-norm residual of the iterate, computed only once its Frobenius
     norm, never larger, is within tol; ``iterations`` counts sweeps.
@@ -185,8 +185,6 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     gamma = min(1.0, 1.0 / alpha)
     history = []
     mixed = False
-    prev_sigma = None
-    prev_res = math.inf
     it = 0
     while it < max_iter:
         it += 1
@@ -202,11 +200,8 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             if tn <= tol:
                 return sigma, logq, it, tn, True
 
-        if prev_sigma is not None and not res_f <= prev_res * 1.25 and (
-                mixed or gamma > _GAMMA_FLOOR):
-            # Undo the step; the previous iterate's sweep is still at hand.
-            if not mixed:
-                gamma = max(0.5 * gamma, _GAMMA_FLOOR)
+        if mixed and not res_f <= prev_res * 1.25:
+            # Undo the mixed step; the previous iterate's sweep is still at hand.
             sigma, diff, res_f = prev_sigma, prev_diff, prev_res
             history.clear()
         if alpha < 0.1 and gamma == 1.0 and it >= 40:

@@ -68,12 +68,14 @@ def classical_divergence(p, q, alpha: float) -> float:
 
 
 def _augustin_objective(logp, weights, alphas, t):
-    """F, its gradient in theta and the tilted responsibilities, per order.
+    """F, its gradient in theta, the tilted responsibilities and the scale
+    of F's rounding, per order.
 
     ``t`` holds one normalized log q per row of ``alphas``.  Near alpha = 1
     log Q_x is formed as log1p(sum_j p_xj expm1(s_xj)) with
-    s = (alpha - 1) log(p/q), which keeps its relative precision where the
-    log-sum-exp form loses about eps/(alpha - 1) of F to cancellation.
+    s = (alpha - 1) log(p/q), which keeps its relative precision: F is off
+    by ulps of |F|.  The log-sum-exp form elsewhere is off by ulps of
+    |log Q_x| + max_j |log terms|, which F divides by |alpha - 1|.
     """
     am1 = alphas - 1.0
     on = np.isfinite(logp)
@@ -86,7 +88,10 @@ def _augustin_objective(logp, weights, alphas, t):
     near = np.abs(am1) * np.abs(ratio).max(axis=(1, 2)) < 0.5
     if np.any(near):
         log_qx[near] = np.log1p(np.sum(np.exp(logp) * np.expm1(s[near]), axis=2))
-    return log_qx @ weights / am1, grad, r
+    f = log_qx @ weights / am1
+    top = np.abs(np.where(on, logterms, 0.0)).max(axis=2)
+    scale = np.where(near, np.abs(f), (np.abs(log_qx) + top) @ weights / np.abs(am1))
+    return f, grad, r, scale
 
 
 def _newton_direction(t, r, grad, weights, alphas):
@@ -115,15 +120,16 @@ def _augustin_newton(logp, weights, alphas, t0):
     """Damped Newton from t0 for every order at once; returns F and |grad|_inf.
 
     A step is accepted on the Armijo test, or when it halves |grad|_inf
-    while raising F by at most 1e-15 max(1, |F|): near alpha = 1 F is known
-    to a few ulps only, and the Armijo test alone would stall there.  Both
+    while raising F by at most 1e-15 max(1, scale), with the scale of F's
+    rounding from `_augustin_objective`: near the minimizer F changes by
+    rounding only, and the Armijo test alone would stall there.  Both
     tests compare the change in F, so a step that leaves F unchanged is
     not accepted.  The step is halved until it moves log q by under 1e-16,
     where no smaller step could change the iterate; an order with no
     accepted step then stops.
     """
     t = np.tile(t0, (len(alphas), 1))
-    f, grad, r = _augustin_objective(logp, weights, alphas, t)
+    f, grad, r, scale = _augustin_objective(logp, weights, alphas, t)
     norm = np.abs(grad).max(axis=1)
     active = np.flatnonzero(norm > _GTOL_STOP)
     for _ in range(_MAX_NEWTON):
@@ -139,16 +145,16 @@ def _augustin_newton(logp, weights, alphas, t0):
             idx = active[pending]
             trial = t[idx] + step[pending, None] * d[pending]
             trial -= _lse(trial)[:, None]
-            f1, g1, r1 = _augustin_objective(logp, weights, alphas[idx], trial)
+            f1, g1, r1, s1 = _augustin_objective(logp, weights, alphas[idx], trial)
             n1 = np.abs(g1).max(axis=1)
             rise = f1 - f[idx]
             ok = np.isfinite(f1) & np.isfinite(n1) & (
                 (rise <= 1e-4 * step[pending] * slope[pending])
                 | ((n1 <= 0.5 * norm[idx])
-                   & (rise <= 1e-15 * np.maximum(1.0, np.abs(f[idx])))))
+                   & (rise <= 1e-15 * np.maximum(1.0, scale[idx]))))
             took = idx[ok]
-            t[took], f[took], grad[took], r[took], norm[took] = (
-                trial[ok], f1[ok], g1[ok], r1[ok], n1[ok])
+            t[took], f[took], grad[took], r[took], norm[took], scale[took] = (
+                trial[ok], f1[ok], g1[ok], r1[ok], n1[ok], s1[ok])
             moved[pending[ok]] = True
             pending = pending[~ok]
             step[pending] *= 0.5
@@ -287,7 +293,9 @@ class ClassicalChannel:
 
         Grid of 600 points u = 1 - 1/alpha in [0, 1 - 1/1024], solved as one
         batch, then bounded refinement between the neighbours of the grid
-        argmax; the alpha -> inf endpoint is R - dmax_radius.
+        argmax; the alpha -> inf endpoint is R - dmax_radius.  At or below
+        the Holevo quantity the value is 0 (the radius rises with alpha),
+        and the refinement is skipped.
         """
 
         def g(u):
@@ -297,6 +305,8 @@ class ClassicalChannel:
 
         us = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 600)
         self._solve(1.0 / (1.0 - us[us > 0.0]))
+        if rate <= self.holevo():
+            return 0.0
         gs = [g(u) for u in us]
         j = int(np.argmax(gs))
         lo, hi = us[max(j - 1, 0)], us[min(j + 1, len(us) - 1)]

@@ -1,10 +1,12 @@
 """Operational exponent curves built on the weighted-center solvers.
 
 All rates and exponents are in nats.  The one-dimensional suprema over the
-order parameter run on a grid with golden-section refinement between the
-neighbours of the grid argmax (`_refined_grid_max`); the alpha -> 1 and
-alpha -> infinity endpoints use their exact formulas (relative entropy and
-max-relative entropy).
+order parameter run on a grid, refined by scipy's bounded Brent search
+between the neighbours of the grid argmax (`_refined_grid_max`), the method
+the scalar oracle uses too; the alpha -> 1 and alpha -> infinity endpoints
+use their exact formulas (relative entropy and max-relative entropy).  Below
+the Holevo quantity the strong converse exponent is exactly 0, since
+chi*_alpha >= chi_1 for alpha > 1.
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
@@ -22,9 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
-from .centers import solve_center_D
+from .centers import holevo_quantity, solve_center_D
 from .channels import GcqChannel, InputDistribution, TypeClass, average_output
 from .divergences import RenyiParams, d_alpha_z, q_alpha_z, umegaki
 from .exceptions import NonConvergenceError
@@ -33,8 +35,12 @@ from .optimize import factor, pack, unpack
 
 DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
-DEFAULT_REFINE_ITERS = 20
 SP_ALPHA_MIN = 1e-3
+
+# Last order of the sc grid's doubling tail, as of the scalar oracle's grid.
+_ALPHA_TAIL_MAX = 1024.0
+# Brent's absolute tolerance in the grid variable of every refinement.
+_REFINE_XATOL = 1e-7
 
 # Temperatures T of the smoothed chi_inf solve, whose bias is at most
 # log(d)/T.  The last one repeats: a BFGS run stopped by a line-search
@@ -201,57 +207,38 @@ def _dmax_radius(mats, probs, start):
     return best, sigma / float(np.trace(sigma).real)
 
 
-def _golden_max(f, lo, hi, f_lo, f_hi, iters):
-    """Golden-section maximum on [lo, hi], given f_lo = f(lo) and f_hi =
-    f(hi); returns the best probe seen."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_f = lo, f_lo
-    if f_hi > best_f:
-        best_x, best_f = hi, f_hi
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        for x, fx in ((c, fc), (d, fd)):
-            if fx > best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f
-
-
-def _refined_grid_max(f, grid, values, iters):
-    """Argmax of ``values`` on ``grid``, refined by golden section of f between
-    its grid neighbours; returns (grid index, best point, best value)."""
+def _refined_grid_max(f, grid, values):
+    """Argmax of ``values`` on ``grid``, refined by scipy's bounded Brent search
+    of f between its grid neighbours; returns (grid index, best point, best
+    value).  The grid point is kept unless Brent's point beats it."""
     j = int(np.argmax(values))
-    lo, hi = max(j - 1, 0), min(j + 1, len(grid) - 1)
-    return (j, *_golden_max(f, grid[lo], grid[hi], values[lo], values[hi], iters))
+    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": _REFINE_XATOL})
+    if -res.fun > values[j]:
+        return j, float(res.x), -float(res.fun)
+    return j, grid[j], values[j]
 
 
 def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
                 cache: RadiusCache | None = None):
     """Strong converse exponent sup_{alpha>1} (1-1/alpha)(R - chi*_alpha).
 
-    The orders alpha in (1, DEFAULT_ALPHA_MAX] form a geometric grid of
-    DEFAULT_GRID_POINTS in alpha - 1; the alpha -> inf endpoint is chi_inf.
-    Returns (value, argmax_alpha); argmax_alpha is 1.0 when the supremum
-    clamps to zero and inf when the max-relative-entropy endpoint dominates.
-    Orders whose center solve fails are dropped with a warning.
+    Exactly 0, with no solve, for R at or below the Holevo quantity.  The
+    orders alpha in (1, DEFAULT_ALPHA_MAX] form a geometric grid of
+    DEFAULT_GRID_POINTS in alpha - 1; while the grid argmax is the last
+    order, the order doubles, up to 1024.  The alpha -> inf endpoint is
+    chi_inf.  Returns (value, argmax_alpha); argmax_alpha is 1.0 when the
+    supremum clamps to zero and inf when the max-relative-entropy endpoint
+    dominates.  Orders whose center solve fails are dropped with a warning.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
+    if rate <= holevo_quantity(w, p)[0]:
+        return 0.0, 1.0
     cache = cache or RadiusCache(w, p, "sandwiched")
 
     def g_of_u(u):
-        if u <= 0.0:
-            return 0.0
         alpha = 1.0 / (1.0 - u)
         try:
             return u * (rate - cache.chi(alpha))
@@ -259,19 +246,23 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
             return -math.inf
 
     us, gs = [0.0], [0.0]
-    for alpha in 1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS):
+    alphas = (1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)).tolist()
+    while alphas:
+        alpha = alphas.pop(0)
         try:
             chi = cache.chi(alpha)
         except NonConvergenceError as exc:
             warnings.warn(f"dropping alpha={alpha:.6g}: {exc}")
-            continue
-        us.append((alpha - 1.0) / alpha)
-        gs.append((1.0 - 1.0 / alpha) * (rate - chi))
+        else:
+            us.append((alpha - 1.0) / alpha)
+            gs.append((1.0 - 1.0 / alpha) * (rate - chi))
+        if not alphas and alpha < _ALPHA_TAIL_MAX and int(np.argmax(gs)) == len(gs) - 1:
+            alphas.append(2.0 * alpha)
     if len(us) == 1:
         raise NonConvergenceError("no sandwiched radius evaluation converged")
     g_inf = rate - cache.chi_inf()
 
-    _, u_star, g_star = _refined_grid_max(g_of_u, us, gs, DEFAULT_REFINE_ITERS)
+    _, u_star, g_star = _refined_grid_max(g_of_u, us, gs)
     if g_inf >= g_star:
         value, argmax = g_inf, math.inf
     else:
@@ -325,7 +316,7 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     gs = [g(a) for a in grid]
     if not np.isfinite(gs).any():
         raise NonConvergenceError("no Petz radius evaluation converged")
-    j, _, g_star = _refined_grid_max(g, grid, gs, DEFAULT_REFINE_ITERS)
+    j, _, g_star = _refined_grid_max(g, grid, gs)
     if j == 0:
         warnings.warn(
             "sphere-packing supremum attained at the alpha grid floor; "
@@ -363,7 +354,7 @@ def _random_coding_sup(w, p, rate, penalty):
         return (alpha - 1.0) * (rate - _weighted_petz(w, p, avg, alpha) + penalty)
 
     grid = np.linspace(0.0, 1.0, 41)
-    _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid], DEFAULT_REFINE_ITERS)
+    _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid])
     return max(0.0, float(g_star))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import renyicq.classical as classical
+from _helpers import diagonal_channel
 from renyicq.classical import ClassicalChannel, classical_divergence, classical_q
 from renyicq.exceptions import NonConvergenceError
 
@@ -82,6 +83,18 @@ class TestCertification:
         for alpha in orders[[0, 99, 299, 598]]:
             single = ClassicalChannel(rows, weights).augustin_radius(alpha)
             assert abs(single - batched._radius[alpha][0]) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [9, 15])
+    def test_verify_diagonal_channels_certify_every_grid_order(self, seed):
+        # The second channel has a log-sum-exp order near 1.15 where F's
+        # rounding, amplified by 1/(alpha - 1), exceeds 1e-15 max(1, |F|).
+        rng = np.random.default_rng(seed)
+        orders = np.concatenate([_sc_grid_orders(), np.geomspace(1e-3, 1.0 - 1e-6, 400)])
+        for _ in range(2):
+            _, _, rows, weights = diagonal_channel(rng)
+            oracle = ClassicalChannel(rows, weights)
+            oracle._solve(orders)
+            assert max(oracle._radius[float(a)][1] for a in orders) <= 1e-12
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(classical, "_MAX_NEWTON", 1)

@@ -19,6 +19,7 @@ from renyicq.classical import ClassicalChannel, classical_divergence
 from renyicq.divergences import RenyiParams, d_max, umegaki
 from renyicq.exponents import (
     RadiusCache,
+    _refined_grid_max,
     clipped_trace,
     convexity_probe,
     cutoff_rate,
@@ -61,9 +62,22 @@ class TestScExponent:
         assert value == 0.0 and argmax == 1.0
 
     def test_zero_at_and_below_holevo(self, random_channel):
-        w, p, cache = random_channel
+        # chi*_alpha >= chi_1 for alpha > 1, so no order is solved there.
+        w, p, _ = random_channel
         hol, _ = holevo_quantity(w, p)
-        assert sc_exponent(w, p, 0.9 * hol, cache=cache)[0] == 0.0
+        cache = RadiusCache(w, p)
+        for rate in (0.9 * hol, hol):
+            assert sc_exponent(w, p, rate, cache=cache) == (0.0, 1.0)
+        assert not cache._results
+
+    def test_supremum_above_the_last_grid_order(self):
+        # On the first diagonal channel of seed 1 the supremum at this rate
+        # lies between alpha = 64, the 40-point grid's last order, and 128.
+        w, p, rows, weights = diagonal_channel(np.random.default_rng(1))
+        value, argmax = sc_exponent(w, p, 0.3757)
+        assert 64.0 < argmax < 128.0
+        ref = ClassicalChannel(rows, weights).sc_exponent(0.3757)
+        assert value == pytest.approx(ref, abs=1e-9)
 
     def test_positive_above_probed_radius(self, random_channel):
         w, p, cache = random_channel
@@ -125,6 +139,26 @@ class TestScExponent:
         for rate in np.linspace(0.7 * hol, 1.6 * hol, 4):
             mine, _ = sc_exponent(w, p, float(rate), cache=cache)
             assert mine == pytest.approx(oracle.sc_exponent(float(rate)), abs=1e-6)
+
+
+class TestRefinedGridMax:
+    GRID = np.linspace(0.0, 1.0, 11)
+
+    def test_refines_an_interior_maximum(self):
+        def f(x):
+            return -(x - 0.337) ** 2
+
+        j, x, value = _refined_grid_max(f, self.GRID, [f(x) for x in self.GRID])
+        assert j == 3
+        assert abs(x - 0.337) <= 1e-7
+        assert value > f(self.GRID[3])
+
+    def test_keeps_a_grid_point_it_cannot_beat(self):
+        def f(x):
+            return -abs(x - self.GRID[3])
+
+        assert _refined_grid_max(f, self.GRID, [f(x) for x in self.GRID]) == (
+            3, self.GRID[3], 0.0)
 
 
 def _isometric_copy(w, v):
