@@ -37,7 +37,7 @@ DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
 SP_ALPHA_MIN = 1e-3
 
-# Last order of the sc grid's doubling tail, as of the scalar oracle's grid.
+# Last order of the sc grid's doubling tail: the scalar oracle's last order.
 _ALPHA_TAIL_MAX = 1024.0
 # Brent's absolute tolerance in the grid variable of every refinement.
 _REFINE_XATOL = 1e-7

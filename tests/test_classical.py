@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-import renyicq.classical as classical
 from _helpers import diagonal_channel
+import renyicq.classical as classical
 from renyicq.classical import ClassicalChannel, classical_divergence, classical_q
 from renyicq.exceptions import NonConvergenceError
 
@@ -86,8 +86,8 @@ class TestCertification:
 
     @pytest.mark.parametrize("seed", [9, 15])
     def test_verify_diagonal_channels_certify_every_grid_order(self, seed):
-        # The second channel has a log-sum-exp order near 1.15 where F's
-        # rounding, amplified by 1/(alpha - 1), exceeds 1e-15 max(1, |F|).
+        # The second channel has a log-sum-exp order near 1.15 where the
+        # last Newton steps raise F by its rounding, amplified by 1/(alpha - 1).
         rng = np.random.default_rng(seed)
         orders = np.concatenate([_sc_grid_orders(), np.geomspace(1e-3, 1.0 - 1e-6, 400)])
         for _ in range(2):
