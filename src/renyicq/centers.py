@@ -491,26 +491,25 @@ _CUBE = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1
                  dtype=float)
 
 
-def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                       resolution: float = 2e-3, coarse: float = 0.05) -> CenterResult:
+def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams) -> CenterResult:
     """Brute-force minimization of F(sigma), independent of the solvers.
 
     d = 2 with finite z: exhaustive grid over the Bloch ball at spacing
-    ``coarse``, then a halving pattern search until the step is below
-    ``resolution`` (value error ~ resolution^2).  Otherwise: multistart
-    compass search over a Cholesky factorization.
+    0.05, then a halving pattern search until the step is below 2e-3
+    (value error ~ 4e-6).  Otherwise: multistart compass search over a
+    Cholesky factorization.
     """
     params.require_not_one("oracle_grid_center")
     if w.dim == 2 and not params.is_log_euclidean:
         f = _bloch_objective(w, p, params)
-        axis = np.arange(-1.0, 1.0 + coarse / 2.0, coarse)
+        step = 0.05
+        axis = np.arange(-1.0, 1.0 + step / 2.0, step)
         grid = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
         grid = grid[np.linalg.norm(grid, axis=1) <= _BLOCH_RMAX]
         vals = f(grid)
         best = grid[int(np.argmin(vals))]
         evals = len(grid)
-        step = coarse
-        while step > resolution:
+        while step > 2e-3:
             step *= 0.5
             cand = best[None, :] + step * _CUBE
             norms = np.linalg.norm(cand, axis=1)
@@ -678,15 +677,16 @@ def mutual_information_direct(w: GcqChannel, p: InputDistribution, params: Renyi
 
 
 def stationarity_residual(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                          center: DensityOperator, n_directions: int = 5,
-                          step: float = 1e-5, rng=None) -> float:
-    """Max |directional derivative| of F at the center along random traceless
-    Hermitian directions inside the center's support (projected to states)."""
+                          center: DensityOperator, rng=None) -> float:
+    """Max |directional derivative| of F at the center along 5 random
+    traceless Hermitian directions inside the center's support (projected to
+    states), by central differences of step 1e-5."""
     rng = np.random.default_rng(0) if rng is None else rng
     iso = support_isometry(center)
     k = iso.shape[1]
     worst = 0.0
-    for _ in range(n_directions):
+    step = 1e-5
+    for _ in range(5):
         g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         g = 0.5 * (g + g.conj().T)
         g -= np.trace(g).real / k * np.eye(k)

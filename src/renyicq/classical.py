@@ -163,6 +163,17 @@ def _augustin_newton(logp, weights, alphas, t0):
     return f, norm
 
 
+def _refined_max(g, grid, xatol):
+    """Max of g over ``grid`` and a bounded Brent search of g, to ``xatol``,
+    between the neighbours of the grid argmax."""
+    gs = [g(x) for x in grid]
+    j = int(np.argmax(gs))
+    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    res = optimize.minimize_scalar(lambda x: -g(x), bounds=(lo, hi), method="bounded",
+                                   options={"xatol": xatol})
+    return max(max(gs), -float(res.fun))
+
+
 class ClassicalChannel:
     """A stochastic matrix with an input law, plus cached radius solves."""
 
@@ -307,14 +318,7 @@ class ClassicalChannel:
         self._solve(1.0 / (1.0 - us[us > 0.0]))
         if rate <= self.holevo():
             return 0.0
-        gs = [g(u) for u in us]
-        j = int(np.argmax(gs))
-        lo, hi = us[max(j - 1, 0)], us[min(j + 1, len(us) - 1)]
-        res = optimize.minimize_scalar(lambda u: -g(u), bounds=(lo, hi),
-                                       method="bounded",
-                                       options={"xatol": 1e-11})
-        best = max(max(gs), -float(res.fun), rate - self.dmax_radius())
-        return max(0.0, best)
+        return max(0.0, _refined_max(g, us, 1e-11), rate - self.dmax_radius())
 
     def sphere_packing(self, rate: float) -> float:
         """sup_{alpha in (1e-3, 1)} ((alpha-1)/alpha)(R - augustin_radius).
@@ -328,10 +332,4 @@ class ClassicalChannel:
 
         grid = np.geomspace(1e-3, 1.0 - 1e-6, 400)
         self._solve(grid)
-        gs = [g(a) for a in grid]
-        j = int(np.argmax(gs))
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-        res = optimize.minimize_scalar(lambda a: -g(a), bounds=(lo, hi),
-                                       method="bounded",
-                                       options={"xatol": 1e-12})
-        return max(0.0, max(gs), -float(res.fun))
+        return max(0.0, _refined_max(g, grid, 1e-12))

@@ -4,9 +4,12 @@ All rates and exponents are in nats.  The one-dimensional suprema over the
 order parameter run on a grid, refined by scipy's bounded Brent search
 between the neighbours of the grid argmax (`_refined_grid_max`), the method
 the scalar oracle uses too; the alpha -> 1 and alpha -> infinity endpoints
-use their exact formulas (relative entropy and max-relative entropy).  Below
-the Holevo quantity the strong converse exponent is exactly 0, since
-chi*_alpha >= chi_1 for alpha > 1.
+use their exact formulas (relative entropy and max-relative entropy).  An
+order whose center solve fails is dropped with a warning.  Below the Holevo
+quantity the strong converse exponent is exactly 0, since chi*_alpha >=
+chi_1 for alpha > 1.  Above it, g(u) = u (R - chi*_{1/(1-u)}) is concave in
+u = 1 - 1/alpha, so the alpha -> infinity endpoint is solved only while
+the grid argmax is the last order.
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .centers import holevo_quantity, solve_center_D
+from .centers import holevo_quantity, solve_center_D, weighted_divergence
 from .channels import GcqChannel, InputDistribution, TypeClass, average_output
-from .divergences import RenyiParams, d_alpha_z, q_alpha_z, umegaki
+from .divergences import RenyiParams, d_alpha_z, q_alpha_z
 from .exceptions import NonConvergenceError
 from .operators import DensityOperator, herm, support_isometry, support_projection
 from .optimize import factor, pack, unpack
@@ -37,7 +40,8 @@ DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
 SP_ALPHA_MIN = 1e-3
 
-# Last order of the sc grid's doubling tail: the scalar oracle's last order.
+# Last order of the sc grid's doubling tail, the scalar oracle's last order,
+# and the largest order solved: a sandwiched solve there can miss 20000 sweeps.
 _ALPHA_TAIL_MAX = 1024.0
 # Brent's absolute tolerance in the grid variable of every refinement.
 _REFINE_XATOL = 1e-7
@@ -82,7 +86,8 @@ class RadiusCache:
     ``rule`` picks z = alpha ("sandwiched") or z = 1 ("petz"); the alpha ->
     infinity endpoint (max-relative-entropy radius) is solved once by
     smoothed gradient descent, see :meth:`chi_inf`, and its minimizing state
-    is kept in ``chi_inf_center``.
+    is kept in ``chi_inf_center``.  An order whose solve did not converge
+    keeps its message and raises it again without another solve.
     """
 
     def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched"):
@@ -92,6 +97,7 @@ class RadiusCache:
         self.p = p
         self.rule = rule
         self._results = {}
+        self._failures = {}
         self._chi_inf = None
         self.chi_inf_center = None
 
@@ -102,6 +108,8 @@ class RadiusCache:
         res = self._results.get(alpha)
         if res is not None:
             return res
+        if alpha in self._failures:
+            raise NonConvergenceError(self._failures[alpha])
         warm = None
         if self._results:
             nearest = min(self._results, key=lambda a: abs(a - alpha))
@@ -109,10 +117,11 @@ class RadiusCache:
         res = solve_center_D(self.w, self.p, self._params(alpha), max_iter=20000,
                              sigma0=warm)
         if not res.converged:
-            raise NonConvergenceError(
+            self._failures[alpha] = (
                 f"center solve did not converge at alpha={alpha}, "
                 f"z={self._params(alpha).z} (residual {res.residual:.2e})"
             )
+            raise NonConvergenceError(self._failures[alpha])
         self._results[alpha] = res
         return res
 
@@ -220,53 +229,58 @@ def _refined_grid_max(f, grid, values):
     return j, grid[j], values[j]
 
 
+def _order_value(cache, alpha, weight, rate):
+    """weight (R - chi_alpha), or -inf with a warning when the center solve
+    at alpha fails, so that a failed order never attains a supremum."""
+    try:
+        return weight * (rate - cache.chi(alpha))
+    except NonConvergenceError as exc:
+        warnings.warn(f"dropping alpha={alpha:.6g}: {exc}")
+        return -math.inf
+
+
 def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
                 cache: RadiusCache | None = None):
     """Strong converse exponent sup_{alpha>1} (1-1/alpha)(R - chi*_alpha).
 
     Exactly 0, with no solve, for R at or below the Holevo quantity.  The
     orders alpha in (1, DEFAULT_ALPHA_MAX] form a geometric grid of
-    DEFAULT_GRID_POINTS in alpha - 1; while the grid argmax is the last
-    order, the order doubles, up to 1024.  The alpha -> inf endpoint is
-    chi_inf.  Returns (value, argmax_alpha); argmax_alpha is 1.0 when the
-    supremum clamps to zero and inf when the max-relative-entropy endpoint
-    dominates.  Orders whose center solve fails are dropped with a warning.
+    DEFAULT_GRID_POINTS in alpha - 1, less the orders whose solve fails.
+    The objective is concave in u = 1 - 1/alpha, so only a last-order grid
+    argmax can lose to the alpha -> inf endpoint R - chi_inf: only then is
+    it solved, and the last order doubles, up to 1024, while it stays the
+    argmax.  An endpoint at least that order's value is the supremum, with
+    no refinement.  Returns (value, argmax_alpha); argmax_alpha is 1.0 when
+    the supremum clamps to zero and inf when the endpoint dominates.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     if rate <= holevo_quantity(w, p)[0]:
         return 0.0, 1.0
     cache = cache or RadiusCache(w, p, "sandwiched")
-
-    def g_of_u(u):
-        alpha = 1.0 / (1.0 - u)
-        try:
-            return u * (rate - cache.chi(alpha))
-        except NonConvergenceError:
-            return -math.inf
-
     us, gs = [0.0], [0.0]
+    g_inf = -math.inf  # unsolved while concavity rules the endpoint out
     alphas = (1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)).tolist()
     while alphas:
         alpha = alphas.pop(0)
-        try:
-            chi = cache.chi(alpha)
-        except NonConvergenceError as exc:
-            warnings.warn(f"dropping alpha={alpha:.6g}: {exc}")
-        else:
+        g = _order_value(cache, alpha, 1.0 - 1.0 / alpha, rate)
+        if g > -math.inf:
             us.append((alpha - 1.0) / alpha)
-            gs.append((1.0 - 1.0 / alpha) * (rate - chi))
+            gs.append(g)
         if not alphas and alpha < _ALPHA_TAIL_MAX and int(np.argmax(gs)) == len(gs) - 1:
+            # chi_inf warm-starts from the largest solved order (cached after
+            # the first call): the alpha = 64 center is a far better start.
+            g_inf = rate - cache.chi_inf()
             alphas.append(2.0 * alpha)
     if len(us) == 1:
         raise NonConvergenceError("no sandwiched radius evaluation converged")
-    g_inf = rate - cache.chi_inf()
 
-    _, u_star, g_star = _refined_grid_max(g_of_u, us, gs)
-    if g_inf >= g_star:
+    if int(np.argmax(gs)) == len(gs) - 1 and g_inf >= gs[-1]:
         value, argmax = g_inf, math.inf
     else:
-        value, argmax = g_star, 1.0 / (1.0 - u_star)
+        _, u_star, value = _refined_grid_max(
+            lambda u: _order_value(cache, 1.0 / (1.0 - u), u, rate), us, gs)
+        argmax = 1.0 / (1.0 - u_star)
     if value <= 0.0:
         return 0.0, 1.0
     return float(value), float(argmax)
@@ -306,11 +320,7 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     cache = cache or RadiusCache(w, p, "petz")
 
     def g(alpha):
-        try:
-            return (alpha - 1.0) / alpha * (rate - cache.chi(alpha))
-        except NonConvergenceError as exc:
-            warnings.warn(f"dropping alpha={alpha:.6g}: {exc}")
-            return -math.inf
+        return _order_value(cache, alpha, (alpha - 1.0) / alpha, rate)
 
     grid = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, DEFAULT_GRID_POINTS)
     gs = [g(a) for a in grid]
@@ -333,25 +343,16 @@ def _petz_divergence_alpha0(rho, sigma) -> float:
     return -math.log(overlap)
 
 
-def _weighted_petz(w, p, avg, alpha) -> float:
-    total = 0.0
-    for sym, prob in p.items():
-        if prob == 0.0:
-            continue
-        if alpha == 0.0:
-            total += prob * _petz_divergence_alpha0(w.output(sym), avg)
-        elif alpha == 1.0:
-            total += prob * umegaki(w.output(sym), avg)
-        else:
-            total += prob * d_alpha_z(w.output(sym), avg, RenyiParams.petz(alpha))
-    return total
-
-
 def _random_coding_sup(w, p, rate, penalty):
     avg = DensityOperator(average_output(w, p).mat)
 
     def g(alpha):
-        return (alpha - 1.0) * (rate - _weighted_petz(w, p, avg, alpha) + penalty)
+        if alpha == 0.0:
+            div = sum(prob * _petz_divergence_alpha0(w.output(sym), avg)
+                      for sym, prob in p.items() if prob > 0.0)
+        else:
+            div = weighted_divergence(w, p, RenyiParams.petz(alpha), avg)
+        return (alpha - 1.0) * (rate - div + penalty)
 
     grid = np.linspace(0.0, 1.0, 41)
     _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid])

@@ -81,19 +81,19 @@ def herm(mat) -> HermitianOperator:
 class DensityOperator(HermitianOperator):
     """A PSD Hermitian operator normalized to unit trace.
 
-    Eigenvalues below ``-floor`` are rejected; values in ``[-floor, 0)`` are
+    Eigenvalues below ``-PSD_TOL`` are rejected; values in ``[-PSD_TOL, 0)`` are
     clipped to zero and the spectrum is renormalized, so the stored matrix
     has exact nonnegative eigenvalues and trace 1 up to roundoff.
     """
 
     __slots__ = ()
 
-    def __init__(self, mat, *, floor: float = PSD_TOL):
+    def __init__(self, mat):
         super().__init__(mat)
         w, v = np.linalg.eigh(self.mat)
-        if w[0] < -floor:
+        if w[0] < -PSD_TOL:
             raise ValueError(
-                f"matrix is not PSD: smallest eigenvalue {w[0]:.3e} < -{floor:.0e}"
+                f"matrix is not PSD: smallest eigenvalue {w[0]:.3e} < -{PSD_TOL:.0e}"
             )
         w = np.clip(w, 0.0, None)
         total = float(w.sum())

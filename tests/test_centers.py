@@ -403,7 +403,7 @@ class TestSolveCenterTsallis:
 class TestOracle:
     def test_noiseless_value(self):
         w, p = noiseless_channel(2)
-        res = oracle_grid_center(w, p, SANDWICHED_2, resolution=2e-3)
+        res = oracle_grid_center(w, p, SANDWICHED_2)
         assert res.method == ORACLE_GRID
         assert abs(res.value - math.log(2.0)) < (2e-3) ** 2 * 10
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ class TestScExponent:
         ref = ClassicalChannel(rows, weights).sc_exponent(0.3757)
         assert value == pytest.approx(ref, abs=1e-9)
 
+    def test_interior_argmax_leaves_the_endpoint_unsolved(self, random_channel):
+        # g is concave in u, so an interior grid argmax rules out alpha = inf.
+        w, p, _ = random_channel
+        cache = RadiusCache(w, p)
+        _, argmax = sc_exponent(w, p, 1.5 * holevo_quantity(w, p)[0], cache=cache)
+        assert 1.0 < argmax < 64.0
+        assert cache.chi_inf_center is None
+
+    def test_endpoint_argmax_solves_no_order_inside_the_last_tail_step(self):
+        # Once R - chi_inf beats the last tail order, no point between the
+        # last two orders can beat it, so nothing is refined there.
+        w, p = parse_preset("random:2:3:7")
+        cache = RadiusCache(w, p)
+        _, argmax = sc_exponent(w, p, LN2 + 0.05, cache=cache)
+        assert math.isinf(argmax)
+        assert 1024.0 in cache._results
+        assert not [a for a in cache._results if 512.0 < a < 1024.0]
+
     def test_positive_above_probed_radius(self, random_channel):
         w, p, cache = random_channel
         chi2 = cache.chi(2.0)
@@ -139,6 +158,26 @@ class TestScExponent:
         for rate in np.linspace(0.7 * hol, 1.6 * hol, 4):
             mine, _ = sc_exponent(w, p, float(rate), cache=cache)
             assert mine == pytest.approx(oracle.sc_exponent(float(rate)), abs=1e-6)
+
+
+class TestRadiusCache:
+    def test_failed_order_raises_again_without_a_solve(self, monkeypatch):
+        from renyicq import exponents
+        from renyicq.exceptions import NonConvergenceError
+
+        calls = []
+
+        def unconverged(*args, **kwargs):
+            calls.append(args)
+            return SimpleNamespace(converged=False, residual=0.5)
+
+        monkeypatch.setattr(exponents, "solve_center_D", unconverged)
+        w, p = noiseless_channel(2)
+        cache = RadiusCache(w, p)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError, match="alpha=2.0"):
+                cache.chi(2.0)
+        assert len(calls) == 1
 
 
 class TestRefinedGridMax:
