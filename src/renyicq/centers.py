@@ -16,10 +16,10 @@ solve reports the radius that `_radius` reads off the sweep of its returned
 center: F at that state, so an upper bound on the radius whether or not the
 solve converged.
 
-`solve_center_direct`, `weighted_radius_beta` and
-`mutual_information_direct` search states by ``optimize.minimize_states``.
-A brute-force oracle (`oracle_grid_center`) provides an independent check
-at small dimension.
+`solve_center_direct`, `mutual_information_direct` and
+`weighted_radius_beta` for 1 < beta < inf search states by
+``optimize.minimize_states``.  A brute-force oracle (`oracle_grid_center`)
+provides an independent check at small dimension.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import backend
 from .channels import GcqChannel, InputDistribution, average_output, lifted_state
 from .divergences import RenyiParams, classify_region, d_alpha_z, umegaki
-from .exceptions import SingularInputError
+from .exceptions import NonConvergenceError, SingularInputError
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -82,6 +82,15 @@ class CenterResult:
     converged: bool
     method: str
     heuristic: bool = False
+
+    def require_converged(self, params: RenyiParams) -> "CenterResult":
+        """Return self, or raise NonConvergenceError naming ``params``."""
+        if not self.converged:
+            raise NonConvergenceError(
+                f"center solve did not converge at alpha={params.alpha}, "
+                f"z={params.z} (residual {self.residual:.2e})"
+            )
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +372,14 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
 
 
 def solve_center_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      sigma0=None) -> CenterResult:
+                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> CenterResult:
     """Weighted Q-bar center; ``value`` is the signed radius chi_Qbar."""
-    return _solve_common(w, p, params, tol, max_iter, sigma0, "Qbar")
+    return _solve_common(w, p, params, tol, max_iter, None, "Qbar")
 
 
 def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                         tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                         sigma0=None) -> CenterResult:
+                         tol: float = DEFAULT_TOL,
+                         max_iter: int = DEFAULT_MAX_ITER) -> CenterResult:
     """PSD Tsallis center (unnormalized) and the Tsallis radius.
 
     The Tsallis map is the Q-bar map times sum_x P(x) Q_x, and both are
@@ -382,7 +390,7 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParam
     ``iterations``, ``method`` and ``heuristic`` are the Q-bar solve's.
     """
     _require_finite_z(params, "solve_center_tsallis")
-    qb = solve_center_Qbar(w, p, params, tol, max_iter, sigma0)
+    qb = solve_center_Qbar(w, p, params, tol, max_iter)
     a = params.alpha
     c = (params.s * qb.value) ** (1.0 / a)
     residual = c * qb.residual
@@ -572,12 +580,13 @@ def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams)
 # ---------------------------------------------------------------------------
 
 def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6):
-    """Unweighted radius inf_sigma sup_x D(W(x)||sigma).
+    """Unweighted radius inf_sigma sup_x D(W(x)||sigma) = max_P chi(W, P).
 
-    Multiplicative-weights ascent on the input law against the inner
-    weighted-center solve, at most 500 rounds with a step halved (from 1 down
-    to 1/64) whenever the gap grows; exits when the sup-vs-average gap is
-    below tol.  Returns (radius, center, worst_P).
+    Multiplicative weights P(x) <- P(x) exp(D(W(x)||sigma_P)) with the
+    constant step 1, one warm-started center solve per round, until the gap
+    max_x D(W(x)||sigma_P) - chi(W, P) is at most tol; after 500 rounds it
+    warns and returns the round with the least max_x D, an upper bound on the
+    radius.  Returns (radius, center, worst_P).
     """
     report = classify_region(params)
     if not report.second_arg_convex_D:
@@ -585,8 +594,6 @@ def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6):
     symbols = w.alphabet
     weights = np.full(len(symbols), 1.0 / len(symbols))
     warm = None
-    eta = 1.0
-    prev_gap = math.inf
     best = None
     for _ in range(500):
         p_t = InputDistribution(dict(zip(symbols, weights)))
@@ -599,14 +606,10 @@ def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6):
             best = (radius_up, res.center, p_t)
         if gap <= tol:
             return radius_up, res.center, p_t
-        if gap > prev_gap + 1e-12:
-            eta = max(eta / 2.0, 1.0 / 64.0)
-        prev_gap = gap
-        shifted = eta * (dvals - dvals.max())
-        weights = weights * np.exp(shifted)
+        weights = weights * np.exp(dvals - radius_up)
         weights = np.maximum(weights, 1e-300)
         weights /= weights.sum()
-    warnings.warn(f"divergence_radius: gap {prev_gap:.2e} above tol after 500 rounds")
+    warnings.warn(f"divergence_radius: gap {gap:.2e} above tol after 500 rounds")
     return best
 
 
@@ -615,33 +618,29 @@ def weighted_radius_beta(w: GcqChannel, p: InputDistribution, params: RenyiParam
     """(P, beta)-weighted radius: min over states of the P-weighted beta-norm
     of x -> D(W(x)||sigma).
 
-    beta = 1 coincides with the weighted center value; beta = inf minimizes a
-    log-sum-exp softened max but reports the exact max at the minimizer.
-    Divergences are assumed nonnegative (cq channels).
+    beta = 1 is the weighted center value and beta = inf the
+    `divergence_radius` of the channel restricted to supp P; only 1 < beta <
+    inf searches states, from the beta = 1 center.  Divergences are assumed
+    nonnegative (cq channels).
     """
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
+    if math.isinf(beta):
+        restricted = GcqChannel({s: w.output(s) for s in p.support})
+        return divergence_radius(restricted, params)[0]
+    anchor = solve_center_D(w, p, params)
+    if beta == 1.0:
+        return anchor.value
     supp = p.support
     probs = np.array([p.probability(s) for s in supp])
-    temp = 1e3
 
-    def dvals(sigma):
-        return np.array([d_alpha_z(w.output(s), sigma, params) for s in supp])
+    def norm(sigma):
+        dv = np.array([d_alpha_z(w.output(s), sigma, params) for s in supp])
+        return float(np.sum(probs * np.maximum(dv, 0.0) ** beta) ** (1.0 / beta))
 
-    def objective(sigma):
-        dv = np.maximum(dvals(HermitianOperator(sigma)), 0.0)
-        if math.isinf(beta):
-            m = dv.max()
-            return m + math.log(float(np.sum(np.exp(temp * (dv - m))))) / temp
-        return float(np.sum(probs * dv ** beta) ** (1.0 / beta))
-
-    anchor = solve_center_D(w, p, params)
-    sigma, _ = minimize_states(objective, [anchor.center.mat, average_output(w, p).mat],
-                               60000)
-    dv = np.maximum(dvals(HermitianOperator(sigma)), 0.0)
-    if math.isinf(beta):
-        return float(dv.max())
-    return float(np.sum(probs * dv ** beta) ** (1.0 / beta))
+    sigma, _ = minimize_states(lambda s: norm(HermitianOperator(s)),
+                               [anchor.center.mat, average_output(w, p).mat], 60000)
+    return norm(HermitianOperator(sigma))
 
 
 def holevo_quantity(w: GcqChannel, p: InputDistribution):
@@ -661,8 +660,8 @@ def mutual_information(w: GcqChannel, p: InputDistribution, params: RenyiParams)
     return math.log(params.s * res.value) / (params.alpha - 1.0)
 
 
-def mutual_information_direct(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                              maxfev: int = 40000) -> float:
+def mutual_information_direct(w: GcqChannel, p: InputDistribution,
+                              params: RenyiParams) -> float:
     """inf_sigma D(lifted(W,P) || blockdiag P x sigma) by direct search."""
     params.require_not_one("mutual_information_direct")
     joint = lifted_state(w, p)
@@ -673,7 +672,7 @@ def mutual_information_direct(w: GcqChannel, p: InputDistribution, params: Renyi
         return d_alpha_z(joint, HermitianOperator(np.kron(np.diag(pvec), sigma)), params)
 
     avg = average_output(w, p)
-    return minimize_states(objective, [avg.mat / avg.trace()], maxfev)[1]
+    return minimize_states(objective, [avg.mat / avg.trace()], 8000)[1]
 
 
 def stationarity_residual(w: GcqChannel, p: InputDistribution, params: RenyiParams,

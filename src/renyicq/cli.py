@@ -53,7 +53,7 @@ def render_rows(columns, rows, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     payload = {
         "columns": list(columns),
-        "rows": [[json.loads(json.dumps(_json_number(v))) for v in row] for row in rows],
+        "rows": [[_json_number(v) for v in row] for row in rows],
     }
     return json.dumps(payload, indent=1) + "\n"
 
@@ -95,6 +95,11 @@ def _resolve_channel(args):
     return w, p
 
 
+def _params(args, alpha: float) -> RenyiParams:
+    """The order pair (alpha, --z), with z = alpha when --z is not given."""
+    return RenyiParams(alpha, args.z if args.z is not None else alpha)
+
+
 def _parse_floats(text: str, what: str):
     try:
         return [float(tok) for tok in str(text).split(",") if tok != ""]
@@ -111,7 +116,7 @@ def _cmd_divergence(args) -> int:
     s = _scale(args.units)
     rows = []
     for alpha in args.alpha:
-        params = RenyiParams(alpha, args.z if args.z is not None else alpha)
+        params = _params(args, alpha)
         for x in w.alphabet:
             for y in w.alphabet:
                 val = d_alpha_z(w.output(x), w.output(y), params)
@@ -122,15 +127,8 @@ def _cmd_divergence(args) -> int:
 
 def _cmd_center(args) -> int:
     w, p = _resolve_channel(args)
-    alpha = args.alpha[0]
-    params = RenyiParams(alpha, args.z if args.z is not None else alpha)
-    res = solve_center_D(w, p, params)
-    if not res.converged:
-        sys.stderr.write(
-            f"error: center solve did not converge at alpha={params.alpha}, z={params.z} "
-            f"(residual {res.residual:.3e})\n"
-        )
-        return 3
+    params = _params(args, args.alpha[0])
+    res = solve_center_D(w, p, params).require_converged(params)
     s = _scale(args.units)
     if args.format == "json":
         doc = {
@@ -160,25 +158,16 @@ def _cmd_chi(args) -> int:
     w, p = _resolve_channel(args)
     s = _scale(args.units)
     rows = []
-    if args.beta is not None:
-        for alpha in args.alpha:
-            params = RenyiParams(alpha, args.z if args.z is not None else alpha)
+    for alpha in args.alpha:
+        params = _params(args, alpha)
+        if args.beta is None:
+            res = solve_center_D(w, p, params).require_converged(params)
+            rows.append([alpha, params.z, res.value * s])
+        else:
             value = weighted_radius_beta(w, p, params, args.beta)
             rows.append([alpha, params.z, args.beta, value * s])
-        _write(render_rows(["alpha", "z", "beta", "value"], rows, args.format),
-               args.output)
-        return 0
-    for alpha in args.alpha:
-        params = RenyiParams(alpha, args.z if args.z is not None else alpha)
-        res = solve_center_D(w, p, params)
-        if not res.converged:
-            sys.stderr.write(
-                f"error: chi solve did not converge at alpha={params.alpha}, "
-                f"z={params.z}\n"
-            )
-            return 3
-        rows.append([alpha, params.z, res.value * s])
-    _write(render_rows(["alpha", "z", "chi"], rows, args.format), args.output)
+    columns = ["alpha", "z", "chi"] if args.beta is None else ["alpha", "z", "beta", "value"]
+    _write(render_rows(columns, rows, args.format), args.output)
     return 0
 
 

@@ -114,14 +114,13 @@ class RadiusCache:
         if self._results:
             nearest = min(self._results, key=lambda a: abs(a - alpha))
             warm = self._results[nearest].center
-        res = solve_center_D(self.w, self.p, self._params(alpha), max_iter=20000,
-                             sigma0=warm)
-        if not res.converged:
-            self._failures[alpha] = (
-                f"center solve did not converge at alpha={alpha}, "
-                f"z={self._params(alpha).z} (residual {res.residual:.2e})"
-            )
-            raise NonConvergenceError(self._failures[alpha])
+        params = self._params(alpha)
+        try:
+            res = solve_center_D(self.w, self.p, params, max_iter=20000,
+                                 sigma0=warm).require_converged(params)
+        except NonConvergenceError as exc:
+            self._failures[alpha] = str(exc)
+            raise
         self._results[alpha] = res
         return res
 
@@ -216,6 +215,15 @@ def _dmax_radius(mats, probs, start):
     return best, sigma / float(np.trace(sigma).real)
 
 
+def _cache_for(w, p, rule, cache):
+    """``cache`` if it holds the ``rule`` radii of (w, p); a new one if None."""
+    if cache is None:
+        return RadiusCache(w, p, rule)
+    if cache.rule != rule or cache.w is not w or cache.p != p:
+        raise ValueError(f"the cache does not hold the {rule} radii of this channel")
+    return cache
+
+
 def _refined_grid_max(f, grid, values):
     """Argmax of ``values`` on ``grid``, refined by scipy's bounded Brent search
     of f between its grid neighbours; returns (grid index, best point, best
@@ -255,9 +263,9 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
+    cache = _cache_for(w, p, "sandwiched", cache)
     if rate <= holevo_quantity(w, p)[0]:
         return 0.0, 1.0
-    cache = cache or RadiusCache(w, p, "sandwiched")
     us, gs = [0.0], [0.0]
     g_inf = -math.inf  # unsolved while concavity rules the endpoint out
     alphas = (1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)).tolist()
@@ -289,7 +297,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
 def sc_curve(w: GcqChannel, p: InputDistribution, rates,
              cache: RadiusCache | None = None) -> ExponentCurve:
     """Strong converse exponent over a rate grid, sharing one radius cache."""
-    cache = cache or RadiusCache(w, p, "sandwiched")
+    cache = _cache_for(w, p, "sandwiched", cache)
     rates = np.asarray(list(rates), dtype=float)
     values = np.zeros_like(rates)
     argmax = np.zeros_like(rates)
@@ -304,7 +312,7 @@ def cutoff_rate(w: GcqChannel, p: InputDistribution, kappa: float,
     """Generalized cutoff rate C_kappa = chi*_{1/(1-kappa)}."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
-    cache = cache or RadiusCache(w, p, "sandwiched")
+    cache = _cache_for(w, p, "sandwiched", cache)
     return cache.chi(1.0 / (1.0 - kappa))
 
 
@@ -317,7 +325,7 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    cache = cache or RadiusCache(w, p, "petz")
+    cache = _cache_for(w, p, "petz", cache)
 
     def g(alpha):
         return _order_value(cache, alpha, (alpha - 1.0) / alpha, rate)
@@ -400,7 +408,7 @@ def finite_n_converse_bound(w: GcqChannel, p_n: TypeClass, rate: float,
         a = params.alpha
         if a <= 1.0:
             raise ValueError("the converse bound needs alpha > 1")
-        cache = cache or RadiusCache(w, p, "sandwiched")
+        cache = _cache_for(w, p, "sandwiched", cache)
         return -max(0.0, (1.0 - 1.0 / a) * (rate - cache.chi(a)))
     value, _ = sc_exponent(w, p, rate, cache=cache)
     return -value
@@ -464,7 +472,7 @@ def convexity_probe(w: GcqChannel, p: InputDistribution, u_grid=None,
         raise ValueError("midpoint check needs a uniform grid")
     if u[0] <= 0.0 or u[-1] >= 1.0:
         raise ValueError("u grid must lie inside (0, 1)")
-    cache = cache or RadiusCache(w, p, "sandwiched")
+    cache = _cache_for(w, p, "sandwiched", cache)
     f = np.array([ui * cache.chi(1.0 / (1.0 - ui)) for ui in u])
     violations = f[1:-1] - 0.5 * (f[:-2] + f[2:])
     return ConvexityReport(u, f, violations, float(violations.max()))

@@ -38,21 +38,21 @@ class VerifyContext:
         return (channels.random_state(dim, self.rng),
                 channels.random_state(dim, self.rng))
 
-    def random_channels(self, n, dim=2, symbols=3):
+    def random_channels(self, n):
         out = []
         if self.user_channel is not None and self.user_channel[0].is_cq:
             out.append(self.user_channel)
         while len(out) < n:
-            out.append(channels.random_cq_channel(dim, symbols, self.rng))
+            out.append(channels.random_cq_channel(2, 3, self.rng))
         return out[:n]
 
-    def diagonal_channel(self, dim=3, symbols=3):
-        rows = self.rng.dirichlet(np.ones(dim), size=symbols)
+    def diagonal_channel(self):
+        rows = self.rng.dirichlet(np.ones(3), size=3)
         outs = {str(i): ops.HermitianOperator(np.diag(rows[i]).astype(complex))
-                for i in range(symbols)}
-        weights = self.rng.dirichlet(np.ones(symbols))
+                for i in range(3)}
+        weights = self.rng.dirichlet(np.ones(3))
         return (channels.GcqChannel(outs),
-                channels.InputDistribution({str(i): weights[i] for i in range(symbols)}),
+                channels.InputDistribution({str(i): weights[i] for i in range(3)}),
                 rows, weights)
 
 
@@ -341,7 +341,7 @@ def check_center_support_law(ctx):
 
 def check_oracle_equivalence(ctx):
     worst = 0.0
-    for w, p in ctx.random_channels(3, dim=2):
+    for w, p in ctx.random_channels(3):
         params = RenyiParams(2.0, 2.0)
         solved = centers.solve_center_D(w, p, params).value
         oracle = centers.oracle_grid_center(w, p, params).value
@@ -363,10 +363,10 @@ def check_mutual_info_vs_radius(ctx):
 
 
 def check_mutual_info_direct(ctx):
-    w, p = ctx.random_channels(1, dim=2)[0]
+    w, p = ctx.random_channels(1)[0]
     params = RenyiParams(2.0, 2.0)
     via_radius = centers.mutual_information(w, p, params)
-    direct = centers.mutual_information_direct(w, p, params, maxfev=8000)
+    direct = centers.mutual_information_direct(w, p, params)
     assert abs(via_radius - direct) <= 1e-5, (
         f"mutual information mismatch {abs(via_radius-direct):.2e}"
     )

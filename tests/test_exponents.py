@@ -1,12 +1,11 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _helpers import diagonal_channel, random_state_mat
-from renyicq.centers import holevo_quantity, solve_center_D
+from renyicq.centers import FIXED_POINT, CenterResult, holevo_quantity, solve_center_D
 from renyicq.channels import (
     GcqChannel,
     InputDistribution,
@@ -114,9 +113,11 @@ class TestScExponent:
     def test_all_orders_dropped_raises(self, noiseless2):
         from renyicq.exceptions import NonConvergenceError
 
-        w, p, _ = noiseless2
+        w, p, real = noiseless2
 
         class Dead:
+            w, p, rule = real.w, real.p, real.rule
+
             def chi(self, alpha):
                 raise NonConvergenceError("stub")
 
@@ -135,6 +136,8 @@ class TestScExponent:
         dropped = 1.0 + np.geomspace(1e-3, 63.0, 40)[7]
 
         class Flaky:
+            w, p, rule = real.w, real.p, real.rule
+
             def chi(self, alpha):
                 if alpha == dropped:
                     raise NonConvergenceError("stub")
@@ -169,7 +172,7 @@ class TestRadiusCache:
 
         def unconverged(*args, **kwargs):
             calls.append(args)
-            return SimpleNamespace(converged=False, residual=0.5)
+            return CenterResult(None, math.nan, 1, 0.5, False, FIXED_POINT)
 
         monkeypatch.setattr(exponents, "solve_center_D", unconverged)
         w, p = noiseless_channel(2)
@@ -178,6 +181,18 @@ class TestRadiusCache:
             with pytest.raises(NonConvergenceError, match="alpha=2.0"):
                 cache.chi(2.0)
         assert len(calls) == 1
+
+    def test_sphere_packing_rejects_a_sandwiched_cache(self):
+        w, p = random_cq_channel(2, 3, np.random.default_rng(7))
+        rate = 0.5 * holevo_quantity(w, p)[0]
+        with pytest.raises(ValueError, match="cache"):
+            sphere_packing_bound(w, p, rate, cache=RadiusCache(w, p, "sandwiched"))
+
+    def test_sc_exponent_rejects_another_channels_cache(self):
+        w, p = random_cq_channel(2, 3, np.random.default_rng(7))
+        other = RadiusCache(*random_cq_channel(2, 3, np.random.default_rng(8)))
+        with pytest.raises(ValueError, match="cache"):
+            sc_exponent(w, p, 0.69, cache=other)
 
 
 class TestRefinedGridMax:
@@ -340,6 +355,8 @@ class TestSpherePacking:
         dropped = np.geomspace(1e-3, 1.0 - 1e-6, 40)[5]
 
         class Flaky:
+            w, p, rule = real.w, real.p, real.rule
+
             def chi(self, alpha):
                 if alpha == dropped:
                     raise NonConvergenceError("stub")
