@@ -5,21 +5,22 @@ safeguarded Anderson mixing over the damped center map, on unit-trace
 iterates, which falls back to the plain damped step whenever a mixed
 iterate leaves the positive-definite cone or raises the residual.
 Nothing here assumes the iteration contracts, so results carry an explicit
-``converged`` flag plus the trace-norm fixed-point residual; a solve that
-runs out of sweeps returns its last iterate, flagged.  The unnormalized
-Tsallis map is homogeneous of the same degree 1 - alpha as the Q-bar map,
-so the Tsallis center is the Q-bar center rescaled once, not a third
-iteration.  Every map, on the compressed support during a solve and on the
-full space in the public ``fixed_point_map_*``, is assembled by `_assemble`
-from one call of the log-domain sweep kernel ``backend.center_sweep``.  Each
-solve reports the radius that `_radius` reads off the sweep of its returned
-center: F at that state, so an upper bound on the radius whether or not the
-solve converged.
+``converged`` flag plus the trace-norm fixed-point residual.  Every solve
+has the budgets DEFAULT_TOL on that residual and DEFAULT_MAX_ITER sweeps,
+read at call time; one that runs out of sweeps returns its last iterate,
+flagged.  The unnormalized Tsallis map is homogeneous of the same degree
+1 - alpha as the Q-bar map, so the Tsallis center is the Q-bar center
+rescaled once, not a third iteration.  Every map, on the compressed support
+during a solve and on the full space in the public ``fixed_point_map_*``,
+is assembled by `_assemble` from one call of the log-domain sweep kernel
+``backend.center_sweep``.  Each solve reports the radius that `_radius`
+reads off the sweep of its returned center: F at that state, so an upper
+bound on the radius whether or not the solve converged.
 
 `solve_center_direct`, `mutual_information_direct` and
-`weighted_radius_beta` for 1 < beta < inf search states by
-``optimize.minimize_states``.  A brute-force oracle (`oracle_grid_center`)
-provides an independent check at small dimension.
+`weighted_radius_beta` for 1 < beta < inf search states by the multistart
+BFGS of ``optimize.minimize_states``.  A brute-force oracle
+(`oracle_grid_center`) provides an independent check at small dimension.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ ORACLE_GRID = "oracle_grid"
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
+RADIUS_TOL = 1e-6
 
 # Damping: gamma = min(1, 1/alpha) (the multiplier of the linearized map is
 # 1-alpha on commuting directions); for alpha < 0.1 it switches after 40
@@ -71,7 +73,7 @@ class CenterResult:
     """Outcome of a center solve.
 
     ``residual`` is the trace-norm fixed-point defect at the returned
-    center; ``converged`` implies residual <= tol.  ``heuristic`` marks
+    center; ``converged`` implies residual <= DEFAULT_TOL.  ``heuristic`` marks
     solves outside the proven parameter region.
     """
 
@@ -172,7 +174,7 @@ def _anderson_step(history, sigma, step):
     return None
 
 
-def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
+def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
     """Safeguarded Anderson iteration of the D or the Q-bar center map over
     unit-trace iterates on the compressed space.
 
@@ -184,7 +186,8 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     are always kept.  No mixing while gamma > 1 (the alpha < 0.1
     extrapolation, clipped to the PSD cone instead).  The one stop test is
     the trace-norm residual of the iterate, computed only once its Frobenius
-    norm, never larger, is within tol; ``iterations`` counts sweeps.
+    norm, never larger, is within DEFAULT_TOL; ``iterations`` counts sweeps,
+    at most DEFAULT_MAX_ITER.
 
     Returns (sigma, logq, iterations, trace-norm residual, converged), where
     logq is the sweep of the returned sigma itself, so `_radius` reads the
@@ -195,7 +198,7 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
     history = []
     mixed = False
     it = 0
-    while it < max_iter:
+    while it < DEFAULT_MAX_ITER:
         it += 1
         ghat, logq = backend.center_sweep(sigma, wpows, z, spow)
         if np.isneginf(logq).any():
@@ -204,9 +207,9 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, tol, max_iter, kind):
             )
         diff = _assemble(kind, ghat, logq, probs) - sigma
         res_f = float(np.linalg.norm(diff))
-        if res_f <= tol:
+        if res_f <= DEFAULT_TOL:
             tn = trace_norm(diff)
-            if tn <= tol:
+            if tn <= DEFAULT_TOL:
                 return sigma, logq, it, tn, True
 
         if mixed and not res_f <= prev_res * 1.25:
@@ -310,7 +313,7 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
+def _solve_common(w, p, params, sigma0, kind) -> CenterResult:
     """The D or the Q-bar center: the fixed-point solve on the compressed
     support.  ``value`` is `_radius` at the returned center, read off its own
     sweep; an unconverged solve returns the loop's last iterate, flagged, so
@@ -332,7 +335,7 @@ def _solve_common(w, p, params, tol, max_iter, sigma0, kind) -> CenterResult:
         sig_start = sig0c
 
     sigma, logq, iters, residual, ok = _run_fixed_point(
-        wpows, probs, sig_start, z, (1.0 - a) / (2.0 * z), a, tol, max_iter, kind
+        wpows, probs, sig_start, z, (1.0 - a) / (2.0 * z), a, kind
     )
     value = _radius(kind, sigma, logq, probs, a, np.log(w_traces))
     return CenterResult(DensityOperator(_embed(iso, sigma)), value, iters, residual, ok,
@@ -358,28 +361,26 @@ def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
 
 
 def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                    sigma0=None) -> CenterResult:
     """Weighted divergence center and radius chi_{alpha,z}(W, P).
 
     Anderson-mixed damped fixed-point iteration from W(P) restricted to its
-    support.  A solve that does not reach ``tol`` within ``max_iter`` sweeps
-    returns its last iterate with ``converged=False``; its ``value`` is F
-    there, an upper bound on the radius.  Outside the proven parameter region
-    the result is stamped ``heuristic``.
+    support.  A solve that does not reach DEFAULT_TOL in DEFAULT_MAX_ITER
+    sweeps returns its last iterate with ``converged=False``; its ``value``
+    is F there, an upper bound on the radius.  Outside the proven parameter
+    region the result is stamped ``heuristic``.
     """
-    return _solve_common(w, p, params, tol, max_iter, sigma0, "D")
+    return _solve_common(w, p, params, sigma0, "D")
 
 
-def solve_center_Qbar(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> CenterResult:
+def solve_center_Qbar(w: GcqChannel, p: InputDistribution,
+                      params: RenyiParams) -> CenterResult:
     """Weighted Q-bar center; ``value`` is the signed radius chi_Qbar."""
-    return _solve_common(w, p, params, tol, max_iter, None, "Qbar")
+    return _solve_common(w, p, params, None, "Qbar")
 
 
-def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                         tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER) -> CenterResult:
+def solve_center_tsallis(w: GcqChannel, p: InputDistribution,
+                         params: RenyiParams) -> CenterResult:
     """PSD Tsallis center (unnormalized) and the Tsallis radius.
 
     The Tsallis map is the Q-bar map times sum_x P(x) Q_x, and both are
@@ -390,13 +391,13 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiParam
     ``iterations``, ``method`` and ``heuristic`` are the Q-bar solve's.
     """
     _require_finite_z(params, "solve_center_tsallis")
-    qb = solve_center_Qbar(w, p, params, tol, max_iter)
+    qb = solve_center_Qbar(w, p, params)
     a = params.alpha
     c = (params.s * qb.value) ** (1.0 / a)
     residual = c * qb.residual
     value = (a / (1.0 - a)) * (average_output(w, p).trace() - c)
-    return CenterResult(HermitianOperator(c * qb.center.mat), value, qb.iterations,
-                        residual, residual <= tol * max(1.0, c), qb.method, qb.heuristic)
+    return CenterResult(HermitianOperator(c * qb.center.mat), value, qb.iterations, residual,
+                        residual <= DEFAULT_TOL * max(1.0, c), qb.method, qb.heuristic)
 
 
 def closed_form_center_z1(w: GcqChannel, p: InputDistribution, alpha: float) -> CenterResult:
@@ -428,7 +429,7 @@ def solve_center_direct(w: GcqChannel, p: InputDistribution,
     params.require_not_one("solve_center_direct")
     avg = average_output(w, p)
     sigma, value = minimize_states(lambda s: weighted_divergence(w, p, params, s),
-                                   [avg.mat / avg.trace()], 40000)
+                                   [avg.mat / avg.trace()])
     report = classify_region(params)
     return CenterResult(
         DensityOperator(sigma), value, 0, math.nan, False, DIRECT_MINIMIZATION,
@@ -579,14 +580,14 @@ def oracle_grid_center(w: GcqChannel, p: InputDistribution, params: RenyiParams)
 # Radii built on the solvers
 # ---------------------------------------------------------------------------
 
-def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6):
+def divergence_radius(w: GcqChannel, params: RenyiParams):
     """Unweighted radius inf_sigma sup_x D(W(x)||sigma) = max_P chi(W, P).
 
     Multiplicative weights P(x) <- P(x) exp(D(W(x)||sigma_P)) with the
     constant step 1, one warm-started center solve per round, until the gap
-    max_x D(W(x)||sigma_P) - chi(W, P) is at most tol; after 500 rounds it
-    warns and returns the round with the least max_x D, an upper bound on the
-    radius.  Returns (radius, center, worst_P).
+    max_x D(W(x)||sigma_P) - chi(W, P) is at most RADIUS_TOL; after 500
+    rounds it warns and returns the round with the least max_x D, an upper
+    bound on the radius.  Returns (radius, center, worst_P).
     """
     report = classify_region(params)
     if not report.second_arg_convex_D:
@@ -604,7 +605,7 @@ def divergence_radius(w: GcqChannel, params: RenyiParams, tol: float = 1e-6):
         gap = radius_up - res.value
         if best is None or radius_up < best[0]:
             best = (radius_up, res.center, p_t)
-        if gap <= tol:
+        if gap <= RADIUS_TOL:
             return radius_up, res.center, p_t
         weights = weights * np.exp(dvals - radius_up)
         weights = np.maximum(weights, 1e-300)
@@ -639,7 +640,7 @@ def weighted_radius_beta(w: GcqChannel, p: InputDistribution, params: RenyiParam
         return float(np.sum(probs * np.maximum(dv, 0.0) ** beta) ** (1.0 / beta))
 
     sigma, _ = minimize_states(lambda s: norm(HermitianOperator(s)),
-                               [anchor.center.mat, average_output(w, p).mat], 60000)
+                               [anchor.center.mat, average_output(w, p).mat])
     return norm(HermitianOperator(sigma))
 
 
@@ -672,7 +673,7 @@ def mutual_information_direct(w: GcqChannel, p: InputDistribution,
         return d_alpha_z(joint, HermitianOperator(np.kron(np.diag(pvec), sigma)), params)
 
     avg = average_output(w, p)
-    return minimize_states(objective, [avg.mat / avg.trace()], 8000)[1]
+    return minimize_states(objective, [avg.mat / avg.trace()])[1]
 
 
 def stationarity_residual(w: GcqChannel, p: InputDistribution, params: RenyiParams,

@@ -13,11 +13,10 @@ the grid argmax is the last order.
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
-D_max(W(x)||sigma), a convex problem.  It is solved by BFGS with exact
-gradients on a log-sum-exp smoothing whose temperature rises to 5e10, in
-the Cholesky parametrization of ``optimize.pack``/``unpack``; the reported
-value is the unsmoothed objective at the final state, hence an upper bound
-on chi_inf.
+D_max(W(x)||sigma), a convex problem.  ``optimize.minimize_dmax`` solves
+it by BFGS with exact gradients on a log-sum-exp smoothing whose
+temperature rises to 5e10; the reported value is the unsmoothed objective
+at the final state, hence an upper bound on chi_inf.
 """
 
 from __future__ import annotations
@@ -27,29 +26,24 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .centers import holevo_quantity, solve_center_D, weighted_divergence
 from .channels import GcqChannel, InputDistribution, TypeClass, average_output
-from .divergences import RenyiParams, d_alpha_z, q_alpha_z
+from .divergences import RenyiParams, q_alpha_z
 from .exceptions import NonConvergenceError
 from .operators import DensityOperator, herm, support_isometry, support_projection
-from .optimize import factor, pack, unpack
+from .optimize import minimize_dmax
 
 DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
 SP_ALPHA_MIN = 1e-3
 
 # Last order of the sc grid's doubling tail, the scalar oracle's last order,
-# and the largest order solved: a sandwiched solve there can miss 20000 sweeps.
+# and the largest order solved: a sandwiched solve there can miss the 10000-sweep cap.
 _ALPHA_TAIL_MAX = 1024.0
 # Brent's absolute tolerance in the grid variable of every refinement.
 _REFINE_XATOL = 1e-7
-
-# Temperatures T of the smoothed chi_inf solve, whose bias is at most
-# log(d)/T.  The last one repeats: a BFGS run stopped by a line-search
-# precision loss resumes from its point with a fresh Hessian model.
-_CHI_INF_TEMPS = (50.0, 5e3, 5e5, 5e7, 5e9, 5e10, 5e10, 5e10)
 
 
 @dataclass
@@ -84,9 +78,9 @@ class RadiusCache:
     """Memoized chi_alpha evaluations with warm-started solves.
 
     ``rule`` picks z = alpha ("sandwiched") or z = 1 ("petz"); the alpha ->
-    infinity endpoint (max-relative-entropy radius) is solved once by
-    smoothed gradient descent, see :meth:`chi_inf`, and its minimizing state
-    is kept in ``chi_inf_center``.  An order whose solve did not converge
+    infinity endpoint (max-relative-entropy radius) is solved once by BFGS
+    on a smoothing, see :meth:`chi_inf`, and its minimizing state is kept
+    in ``chi_inf_center``.  An order whose solve did not converge
     keeps its message and raises it again without another solve.
     """
 
@@ -116,8 +110,7 @@ class RadiusCache:
             warm = self._results[nearest].center
         params = self._params(alpha)
         try:
-            res = solve_center_D(self.w, self.p, params, max_iter=20000,
-                                 sigma0=warm).require_converged(params)
+            res = solve_center_D(self.w, self.p, params, sigma0=warm).require_converged(params)
         except NonConvergenceError as exc:
             self._failures[alpha] = str(exc)
             raise
@@ -132,11 +125,11 @@ class RadiusCache:
 
             chi_inf = min_sigma sum_x P(x) D_max(W(x) || sigma),
 
-        solved on the support of W(P) by :func:`_dmax_radius`, warm-started
-        from the center of the largest cached order (else from W(P)).  The
-        returned value is the exact objective at the state kept in
-        ``chi_inf_center``, so it is an upper bound on the true radius,
-        never above the objective at the start point.
+        solved on the support of W(P) by ``optimize.minimize_dmax`` (BFGS on a
+        smoothing), warm-started from the center of the largest cached order
+        (else from W(P)).  The returned value is the exact objective at the
+        state kept in ``chi_inf_center``, so it is an upper bound on the true
+        radius, never above the objective at the start point.
         """
         if self._chi_inf is None:
             avg = average_output(self.w, self.p)
@@ -148,71 +141,10 @@ class RadiusCache:
                 start = self._results[max(self._results)].center.mat
             else:
                 start = avg.mat
-            value, sigma = _dmax_radius(mats, probs, iso.conj().T @ start @ iso)
+            value, sigma = minimize_dmax(mats, probs, iso.conj().T @ start @ iso)
             self.chi_inf_center = DensityOperator(iso @ sigma @ iso.conj().T)
             self._chi_inf = value
         return self._chi_inf
-
-
-def _dmax_radius(mats, probs, start):
-    """min over states sigma of F(sigma) = sum_x p_x log lambda_max(sigma^{-1/2} W_x sigma^{-1/2}).
-
-    F is convex in sigma, so every local minimum is global.  With sigma =
-    L L^* (L lower triangular) the generalized eigenpairs W_x v = lambda
-    sigma v come from one ``eigh`` of L^{-1} W_x L^{-*}, normalized so that
-    v^* sigma v = 1, and d log lambda = -v^* (d sigma) v is exact.  BFGS
-    minimizes the log-sum-exp smoothing F_T (bias at most log(d)/T) plus
-    Tr sigma: F_T(c sigma) = F_T(sigma) - log c, so the minimizer has unit
-    trace without a constraint.  T rises through ``_CHI_INF_TEMPS``.
-
-    The weighted sum of ``mats`` and ``start`` must be positive definite.
-    Each stage starts from the best state so far.  Returns (F(sigma), sigma)
-    for the unit-trace sigma with the smallest exact F seen, the start
-    included.
-    """
-    def eigenpairs(ell):
-        linv = np.linalg.inv(ell)
-        lam, u = np.linalg.eigh(linv @ mats @ linv.conj().T)
-        return linv, lam, u
-
-    def smoothed(theta, temp):
-        ell = unpack(theta)
-        try:
-            linv, lam, u = eigenpairs(ell)
-        except np.linalg.LinAlgError:
-            return math.inf, np.zeros_like(theta)
-        top = lam[:, -1]
-        if not (np.all(np.isfinite(lam)) and top.min() > 0.0):
-            return math.inf, np.zeros_like(theta)
-        with np.errstate(divide="ignore"):
-            tilt = np.exp(temp * (np.log(np.maximum(lam, 0.0)) - np.log(top)[:, None]))
-        norm = tilt.sum(axis=1)
-        value = float(probs @ (np.log(top) + np.log(norm) / temp)) + float(theta @ theta)
-        # Gradient in sigma: I - sum_x p_x sum_i softmax_i v_i v_i^*; with
-        # v = L^{-*} u its pull-back to L is 2 (L - L^{-*} A).
-        a = np.einsum("xij,xj,xkj->ik", u, (probs / norm)[:, None] * tilt, u.conj())
-        g = 2.0 * (ell - linv.conj().T @ a)
-        return value, pack(g)
-
-    def exact(ell):
-        ell = ell / math.sqrt(float(np.sum(np.abs(ell) ** 2)))
-        try:
-            top = eigenpairs(ell)[1][:, -1]
-        except np.linalg.LinAlgError:
-            return math.inf
-        return float(probs @ np.log(top)) if top.min() > 0.0 else math.inf
-
-    ell = factor(start / float(np.trace(start).real))
-    best, best_ell = exact(ell), ell
-    for temp in _CHI_INF_TEMPS:
-        theta = minimize(smoothed, pack(best_ell), args=(temp,), jac=True,
-                         method="BFGS", options={"gtol": 1e-10}).x
-        ell = unpack(theta)
-        value = exact(ell)
-        if value < best:
-            best, best_ell = value, ell
-    sigma = best_ell @ best_ell.conj().T
-    return best, sigma / float(np.trace(sigma).real)
 
 
 def _cache_for(w, p, rule, cache):
@@ -389,29 +321,26 @@ def finite_n_converse_bound(w: GcqChannel, p_n: TypeClass, rate: float,
                             cache: RadiusCache | None = None) -> float:
     """Upper bound on (1/n) log P_s for constant-composition codes at ``rate``.
 
-    With ``sigma`` (and ``params``, z = alpha > 1) the single-order bound
+    ``params``, if given, must be sandwiched (z = alpha) with alpha > 1.
+    With ``sigma`` (and ``params``) the single-order bound
     -(1-1/alpha)[R - sum_x P_n(x) D_{alpha,alpha}(W(x)||sigma)] is returned;
     with only ``params`` the order is kept but the center is optimized; with
     neither, the bound is optimized over alpha > 1.  Always <= 0.
     """
     p = p_n.as_distribution
-    if sigma is not None:
-        if params is None:
+    if params is None:
+        if sigma is not None:
             raise ValueError("sigma requires params fixing the order alpha")
-        a = params.alpha
-        if a <= 1.0:
-            raise ValueError("the converse bound needs alpha > 1")
-        total = sum(prob * d_alpha_z(w.output(sym), herm(sigma), RenyiParams.sandwiched(a))
-                    for sym, prob in p.items() if prob > 0.0)
-        return -max(0.0, (1.0 - 1.0 / a) * (rate - total))
-    if params is not None:
-        a = params.alpha
-        if a <= 1.0:
-            raise ValueError("the converse bound needs alpha > 1")
-        cache = _cache_for(w, p, "sandwiched", cache)
-        return -max(0.0, (1.0 - 1.0 / a) * (rate - cache.chi(a)))
-    value, _ = sc_exponent(w, p, rate, cache=cache)
-    return -value
+        value, _ = sc_exponent(w, p, rate, cache=cache)
+        return -value
+    a = params.alpha
+    if a <= 1.0 or params.z != a:
+        raise ValueError("the converse bound needs sandwiched params with alpha > 1")
+    if sigma is None:
+        chi = _cache_for(w, p, "sandwiched", cache).chi(a)
+    else:
+        chi = weighted_divergence(w, p, params, sigma)
+    return -max(0.0, (1.0 - 1.0 / a) * (rate - chi))
 
 
 def psi_curve(first_with_weights, second, alphas) -> PsiCurve:

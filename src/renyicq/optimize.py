@@ -1,9 +1,11 @@
-"""Direct search over states in a Cholesky parametrization.
+"""Quasi-Newton searches over states in a Cholesky parametrization.
 
 A state is sigma = L L^* / Tr(L L^*) with L complex lower triangular, packed
 into k^2 reals: the real diagonal, then the real and the imaginary parts of
-the strict lower triangle (row-major).  `minimize_states` is the one
-multistart Nelder-Mead behind the package's direct minimizations.
+the strict lower triangle (row-major).  Every search over states in the
+package is one scipy BFGS call, `_bfgs`: `minimize_states` (multistart,
+finite-difference gradients) for the direct minimizations, and
+`minimize_dmax` (exact gradients on a smoothing) for the alpha -> inf radius.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 _RANDOM_START_SEED = 7
+
+# Temperatures T of the smoothed `minimize_dmax` solve, whose bias is at most
+# log(d)/T.  The last one repeats: a BFGS run stopped by a line-search
+# precision loss resumes from its point with a fresh Hessian model.
+_CHI_INF_TEMPS = (50.0, 5e3, 5e5, 5e7, 5e9, 5e10, 5e10, 5e10)
 
 
 @lru_cache(maxsize=None)
@@ -46,18 +53,21 @@ def factor(sigma) -> np.ndarray:
     return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
 
 
-def minimize_states(f, starts, maxfev: int = 20000):
-    """Minimize ``f`` over k x k states by multistart Nelder-Mead.
+def _bfgs(fun, x0, jac=None, args=()):
+    """scipy's BFGS from x0 to gradient norm 1e-10 (finite differences unless jac)."""
+    return minimize(fun, x0, args=args, jac=jac, method="BFGS", options={"gtol": 1e-10})
+
+
+def minimize_states(f, starts):
+    """Minimize ``f`` over k x k states by multistart BFGS.
 
     ``f`` receives a unit-trace PSD matrix.  A factor whose trace is not
     positive and finite, or a non-finite value of ``f``, scores 1e300.  The
-    searches start from each distinct matrix in ``starts`` (PSD, any
-    positive trace), then from I/k and a random state of a fixed seed.
-    Each search starts from a simplex stepped by 5% of max|x0| along every
-    coordinate of the packed start x0, so that the exact zeros of a diagonal
-    start's factor move too, and stops at 1e-10 in the packed factor and
-    1e-14 in value.  Returns (sigma, f(sigma)) for the unit-trace sigma with
-    the least value.
+    searches start from the packed factor of each distinct matrix in
+    ``starts`` (PSD, any positive trace), then of I/k and of a random state
+    of a fixed seed, and take finite-difference gradients in the packed
+    factor.  Returns (sigma, f(sigma)) for the unit-trace sigma with the
+    least value.
     """
     k = starts[0].shape[0]
     rng = np.random.default_rng(_RANDOM_START_SEED)
@@ -81,11 +91,66 @@ def minimize_states(f, starts, maxfev: int = 20000):
 
     best_x, best_f = None, math.inf
     for s in distinct:
-        x0 = pack(factor(s))
-        simplex = np.vstack([x0, x0 + 0.05 * np.abs(x0).max() * np.eye(len(x0))])
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-14,
-                                "initial_simplex": simplex})
+        res = _bfgs(objective, pack(factor(s)))
         if res.fun < best_f:
             best_x, best_f = res.x, res.fun
     return state(best_x), float(best_f)
+
+
+def minimize_dmax(mats, probs, start):
+    """min over states sigma of F(sigma) = sum_x p_x log lambda_max(sigma^{-1/2} W_x sigma^{-1/2}).
+
+    F is convex in sigma, so every local minimum is global.  With sigma =
+    L L^* (L lower triangular) the generalized eigenpairs W_x v = lambda
+    sigma v come from one ``eigh`` of L^{-1} W_x L^{-*}, normalized so that
+    v^* sigma v = 1, and d log lambda = -v^* (d sigma) v is exact.  BFGS
+    minimizes the log-sum-exp smoothing F_T (bias at most log(d)/T) plus
+    Tr sigma: F_T(c sigma) = F_T(sigma) - log c, so the minimizer has unit
+    trace without a constraint.  T rises through ``_CHI_INF_TEMPS``.
+
+    The weighted sum of ``mats`` and ``start`` must be positive definite.
+    Each stage starts from the best state so far.  Returns (F(sigma), sigma)
+    for the unit-trace sigma with the smallest exact F seen, the start
+    included.
+    """
+    def eigenpairs(ell):
+        linv = np.linalg.inv(ell)
+        lam, u = np.linalg.eigh(linv @ mats @ linv.conj().T)
+        return linv, lam, u
+
+    def smoothed(theta, temp):
+        ell = unpack(theta)
+        try:
+            linv, lam, u = eigenpairs(ell)
+        except np.linalg.LinAlgError:
+            return math.inf, np.zeros_like(theta)
+        top = lam[:, -1]
+        if not (np.all(np.isfinite(lam)) and top.min() > 0.0):
+            return math.inf, np.zeros_like(theta)
+        with np.errstate(divide="ignore"):
+            tilt = np.exp(temp * (np.log(np.maximum(lam, 0.0)) - np.log(top)[:, None]))
+        norm = tilt.sum(axis=1)
+        value = float(probs @ (np.log(top) + np.log(norm) / temp)) + float(theta @ theta)
+        # Gradient in sigma: I - sum_x p_x sum_i softmax_i v_i v_i^*; with
+        # v = L^{-*} u its pull-back to L is 2 (L - L^{-*} A).
+        a = np.einsum("xij,xj,xkj->ik", u, (probs / norm)[:, None] * tilt, u.conj())
+        g = 2.0 * (ell - linv.conj().T @ a)
+        return value, pack(g)
+
+    def exact(ell):
+        ell = ell / math.sqrt(float(np.sum(np.abs(ell) ** 2)))
+        try:
+            top = eigenpairs(ell)[1][:, -1]
+        except np.linalg.LinAlgError:
+            return math.inf
+        return float(probs @ np.log(top)) if top.min() > 0.0 else math.inf
+
+    ell = factor(start / float(np.trace(start).real))
+    best, best_ell = exact(ell), ell
+    for temp in _CHI_INF_TEMPS:
+        ell = unpack(_bfgs(smoothed, pack(best_ell), jac=True, args=(temp,)).x)
+        value = exact(ell)
+        if value < best:
+            best, best_ell = value, ell
+    sigma = best_ell @ best_ell.conj().T
+    return best, sigma / float(np.trace(sigma).real)

@@ -452,6 +452,19 @@ class TestFiniteNConverse:
         with pytest.raises(ValueError):
             finite_n_converse_bound(w, p_n, 1.0, params=RenyiParams(0.5, 0.5))
 
+    @pytest.mark.parametrize("z", [1.0, math.inf])
+    def test_rejects_other_than_sandwiched_params(self, z):
+        # The bound is sandwiched only: a Petz or log-Euclidean order used to
+        # return the sandwiched value (-0.157438 at R = 0.9 here) unnoticed.
+        w, _ = parse_preset("random:2:3:7")
+        p_n = TypeClass.from_counts({s: 2 for s in w.alphabet})
+        sigma = DensityOperator(average_output(w, p_n.as_distribution).mat)
+        params = RenyiParams(2.0, z)
+        with pytest.raises(ValueError):
+            finite_n_converse_bound(w, p_n, 0.9, params=params)
+        with pytest.raises(ValueError):
+            finite_n_converse_bound(w, p_n, 0.9, params=params, sigma=sigma)
+
 
 class TestPsiCurve:
     def test_identical_families_vanish(self):

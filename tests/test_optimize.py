@@ -45,8 +45,9 @@ def test_minimize_states_finds_target():
 
 
 def test_minimize_states_skips_non_finite_values():
-    # inf below the diagonal entry 0.4 and NaN above 0.9: the searches must
-    # step around both, from starts inside either region.
+    # inf below the diagonal entry 0.4 and NaN above 0.9.  A search started
+    # inside either region sees a flat 1e300 and stays there; the I/2 start
+    # reaches the minimum, and the best search wins.
     def f(sigma):
         top = sigma[0, 0].real
         if top < 0.4:
@@ -56,7 +57,7 @@ def test_minimize_states_skips_non_finite_values():
         return (top - 0.6) ** 2 + abs(sigma[0, 1]) ** 2
 
     starts = [np.diag([0.1, 0.9]), np.diag([0.95, 0.05]), np.diag([0.1, 0.9])]
-    sigma, value = minimize_states(f, starts, maxfev=4000)
+    sigma, value = minimize_states(f, starts)
     _assert_state(sigma)
     assert math.isfinite(value) and value <= 1e-12
     assert sigma[0, 0].real == pytest.approx(0.6, abs=1e-6)
@@ -70,6 +71,24 @@ def test_no_private_imports_across_modules():
                 offenders += [f"{path.name}: from .{node.module or ''} import {a.name}"
                               for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_one_module_searches_states():
+    # optimize.py runs every search over states; the scalar oracle keeps its
+    # own scipy searches.  Nelder-Mead is gone from the package.
+    importers, mentions = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "Nelder" in source:
+            mentions.add(path.name)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize":
+                if any(a.name == "minimize" for a in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "minimize":
+                importers.add(path.name)
+    assert importers == {"optimize.py", "classical.py"}
+    assert mentions == set()
 
 
 def test_classical_oracle_imports_no_solver_code():

@@ -5,7 +5,7 @@ The script prints one line per seed with the exit code (0 when every check
 passes, 1 when a check fails, 3 when a solve does not converge) and the wall
 time, followed, for a seed that did not exit 0, by its output lines other
 than the passing checks.  The last line counts the seeds that did not exit
-0, and the script exits 1 if there are any.  The sweep takes about 80 s.
+0, and the script exits 1 if there are any.  The sweep takes about 75 s.
 
 Usage, from the repository root::
 
