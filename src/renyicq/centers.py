@@ -3,7 +3,10 @@
 The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
 safeguarded Anderson mixing over the damped center map, on unit-trace
 iterates, which falls back to the plain damped step whenever a mixed
-iterate leaves the positive-definite cone or raises the residual.
+iterate leaves the positive-definite cone or raises the residual.  The
+mixing (`_Anderson`) keeps at most min(_ANDERSON_DEPTH, k^2 - 1) residual
+differences in preallocated arrays and fits them by Cholesky of their Gram
+matrix, so a sweep costs the kernel plus a few small array operations.
 Nothing here assumes the iteration contracts, so results carry an explicit
 ``converged`` flag plus the trace-norm fixed-point residual.  Every solve
 has the budgets DEFAULT_TOL on that residual and DEFAULT_MAX_ITER sweeps,
@@ -30,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import backend
 from .channels import GcqChannel, InputDistribution, average_output, lifted_state
@@ -62,8 +66,9 @@ RADIUS_TOL = 1e-6
 # there.
 _GAMMA_CAP = 50.0
 
-# Anderson mixing (Walker & Ni 2011): residual differences kept, and the
-# relative smallest eigenvalue a mixed iterate needs to be accepted.
+# Anderson mixing (Walker & Ni 2011): residual differences kept at most
+# (`_Anderson` keeps min(6, k^2 - 1)), and the relative smallest eigenvalue
+# a mixed iterate needs to be accepted.
 _ANDERSON_DEPTH = 6
 _PD_RTOL = 1e-12
 
@@ -136,42 +141,90 @@ def _assemble(kind, ghat, logq, probs):
         weights /= weights.sum()
     else:
         weights = probs * np.exp(logq)
-    return np.tensordot(weights, ghat, axes=1)
+    return (weights @ ghat.reshape(len(weights), -1)).reshape(ghat.shape[1:])
 
 
-def _anderson_step(history, sigma, step):
-    """Anderson-mixed successor of sigma, or None for the plain damped step.
+def _safely_definite(cand):
+    """Whether the Hermitian cand - _PD_RTOL Tr(cand) I is positive definite.
 
-    ``step`` is the damped image g(sigma) = sigma + gamma (Phi(sigma) - sigma).
-    The pair is appended to ``history`` (at most _ANDERSON_DEPTH + 1 pairs, as
-    real vectors of the real and imaginary parts).  With theta the least-
-    squares fit of the newest residual f = g - x by the residual differences,
-    the candidate is g - (Delta g) theta.  A candidate that is not finite and
-    positive definite, or a failed fit, resets the history to the newest pair.
+    One Cholesky attempt.  Since lambda_max <= Tr for a positive definite
+    matrix, a candidate that passes has lambda_min > _PD_RTOL lambda_max; the
+    test is stricter than that ratio by at most a factor of k.
     """
-    k = sigma.shape[0]
-    history.append((sigma.ravel().view(float), step.ravel().view(float)))
-    del history[:-(_ANDERSON_DEPTH + 1)]
-    if len(history) < 2:
-        return None
-    xs = np.array([h[0] for h in history]).T
-    gs = np.array([h[1] for h in history]).T
-    fs = gs - xs
-    theta = None
-    if np.isfinite(fs).all():
-        try:
-            theta = np.linalg.lstsq(np.diff(fs, axis=1), fs[:, -1], rcond=None)[0]
-        except np.linalg.LinAlgError:
-            pass
-    if theta is not None and np.isfinite(theta).all():
-        cand = (gs[:, -1] - np.diff(gs, axis=1) @ theta).view(complex).reshape(k, k)
-        cand = 0.5 * (cand + cand.conj().T)
-        if np.isfinite(cand).all():
-            ev = np.linalg.eigvalsh(cand)
-            if ev[0] > _PD_RTOL * ev[-1] > 0.0:
+    tr = float(cand.trace().real)
+    shifted = cand - (_PD_RTOL * tr) * np.eye(len(cand))
+    return lapack.zpotrf(shifted, lower=1, clean=0)[1] == 0
+
+
+class _Anderson:
+    """The history and the fit of the Anderson mixing in `_run_fixed_point`.
+
+    Iterates x and damped images g = x + gamma (Phi(x) - x) are handled as real
+    vectors (the real and imaginary parts of the k x k matrices).  The history
+    holds the differences of consecutive residuals f = g - x and images in the
+    columns of two preallocated (2k^2, m) arrays, written as a ring.  Unit-trace
+    Hermitian k x k iterates differ within a real space of dimension k^2 - 1,
+    so the width is m = min(_ANDERSON_DEPTH, k^2 - 1): more columns would be
+    dependent by construction.  At k = 1 the width is 0 and no mixed step is
+    ever formed.
+    """
+
+    def __init__(self, k):
+        n = 2 * k * k
+        self.width = min(_ANDERSON_DEPTH, k * k - 1)
+        self.df = np.empty((n, self.width))
+        self.dg = np.empty((n, self.width))
+        self.clear()
+
+    def clear(self):
+        """Drop the whole history, the newest pair too."""
+        self.cols = 0
+        self.slot = 0
+        self.f = self.g = None
+
+    def fit(self, f):
+        """theta minimizing |dF theta - f| over the held columns, or None.
+
+        Cholesky of the Gram matrix dF^T dF, whose factor is the R of dF's QR,
+        then two triangular solves.  A failed factorization means dependent
+        columns.
+        """
+        df = self.df[:, :self.cols]
+        factor, info = lapack.dpotrf(df.T @ df, lower=0, clean=0)
+        if info:
+            return None
+        return lapack.dpotrs(factor, df.T @ f)[0]
+
+    def step(self, sigma, step):
+        """Anderson-mixed successor of sigma, or None for the plain damped step.
+
+        ``step`` is the damped image g(sigma).  The pair's differences from the
+        previous pair enter the history, replacing the oldest column once it
+        is full.  With theta the least-squares fit of the newest residual by
+        the residual differences, the candidate is g - (Delta g) theta.  A
+        candidate that is not finite and safely positive definite
+        (`_safely_definite`), or a failed fit, resets the history to the
+        newest pair.
+        """
+        x = sigma.ravel().view(float)
+        g = step.ravel().view(float)
+        f = g - x
+        if self.f is not None and self.width:
+            np.subtract(f, self.f, out=self.df[:, self.slot])
+            np.subtract(g, self.g, out=self.dg[:, self.slot])
+            self.slot = (self.slot + 1) % self.width
+            self.cols = min(self.cols + 1, self.width)
+        self.f, self.g = f, g
+        if not self.cols:
+            return None
+        theta = self.fit(f)
+        if theta is not None:
+            cand = (g - self.dg[:, :self.cols] @ theta).view(complex).reshape(step.shape)
+            cand = 0.5 * (cand + cand.conj().T)
+            if np.isfinite(cand).all() and _safely_definite(cand):
                 return cand
-    del history[:-1]
-    return None
+        self.cols = self.slot = 0
+        return None
 
 
 def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
@@ -179,12 +232,14 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
     unit-trace iterates on the compressed space.
 
     The base step is the damped map g(sigma) = sigma + gamma (Phi(sigma) - sigma)
-    with the fixed gamma above; Anderson(_ANDERSON_DEPTH) mixing over the
-    recent damped steps replaces it whenever the mixed iterate is positive
-    definite (`_anderson_step`).  A mixed step whose residual grows by more
-    than 1.25x is undone and the history dropped, the one undo; plain steps
-    are always kept.  No mixing while gamma > 1 (the alpha < 0.1
-    extrapolation, clipped to the PSD cone instead).  The one stop test is
+    with the fixed gamma above; Anderson mixing over the recent damped steps,
+    at most min(_ANDERSON_DEPTH, k^2 - 1) residual differences fitted by a
+    Gram-Cholesky least squares (`_Anderson`), replaces it whenever the mixed
+    iterate is safely positive definite.  A mixed step whose residual grows
+    by more than 1.25x is undone and the history dropped, the one undo; the
+    step after it is plain, and plain steps are always kept.  No mixing while
+    gamma > 1 (the alpha < 0.1 extrapolation, clipped to the PSD cone
+    instead).  The one stop test is
     the trace-norm residual of the iterate, computed only once its Frobenius
     norm, never larger, is within DEFAULT_TOL; ``iterations`` counts sweeps,
     at most DEFAULT_MAX_ITER.
@@ -195,7 +250,7 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
     """
     sigma = sigma0 / float(np.trace(sigma0).real)
     gamma = min(1.0, 1.0 / alpha)
-    history = []
+    history = _Anderson(sigma.shape[0])
     mixed = False
     it = 0
     while it < DEFAULT_MAX_ITER:
@@ -222,7 +277,7 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
         prev_sigma, prev_diff, prev_res = sigma, diff, res_f
         step = sigma + gamma * diff
         step = 0.5 * (step + step.conj().T)
-        cand = _anderson_step(history, sigma, step) if gamma <= 1.0 else None
+        cand = history.step(sigma, step) if gamma <= 1.0 else None
         mixed = cand is not None
         sigma = cand if mixed else step
         if gamma > 1.0:

@@ -15,7 +15,7 @@ The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
 D_max(W(x)||sigma), a convex problem.  ``optimize.minimize_dmax`` solves
 it by BFGS with exact gradients on a log-sum-exp smoothing whose
-temperature rises to 5e10; the reported value is the unsmoothed objective
+temperature rises up to 5e10; the reported value is the unsmoothed objective
 at the final state, hence an upper bound on chi_inf.
 """
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import diagonal_channel, random_state_mat, scalar_center_map
+from renyicq import centers
 from renyicq.centers import (
     CLOSED_FORM_Z1,
     DEFAULT_TOL,
@@ -486,6 +487,151 @@ class TestUnconvergedSolve:
         defect = trace_norm(phi(w, p, params, forced.center).mat - forced.center.mat)
         assert forced.residual == pytest.approx(defect, rel=1e-6, abs=1e-15)
         assert forced.converged == (forced.residual <= DEFAULT_TOL)
+
+
+def _real(mat):
+    """A k x k complex matrix as the real vector the mixing works on."""
+    return mat.ravel().view(float)
+
+
+def _near_states(rng, k, count, scale):
+    """``count`` unit-trace Hermitian matrices within ``scale`` of I/k."""
+    out = []
+    for _ in range(count):
+        h = random_state_mat(rng, k) - np.eye(k) / k
+        out.append(np.eye(k) / k + scale * h)
+    return out
+
+
+class TestAnderson:
+    """The history and Gram-Cholesky fit of the center loop's mixing."""
+
+    def test_fit_matches_lstsq(self):
+        rng = np.random.default_rng(3)
+        k = 3
+        xs = _near_states(rng, k, 9, 0.05)
+        gs = [x + 0.01 * (s - x) for x, s in zip(xs, _near_states(rng, k, 9, 0.5))]
+        hist = centers._Anderson(k)
+        assert hist.width == 6
+        for i, (x, g) in enumerate(zip(xs, gs)):
+            cand = hist.step(x, g)
+            if i == 0:
+                assert cand is None
+                continue
+            lo = max(0, i - hist.width)
+            fs = np.array([_real(gs[j] - xs[j]) for j in range(lo, i + 1)]).T
+            gv = np.array([_real(gs[j]) for j in range(lo, i + 1)]).T
+            theta = np.linalg.lstsq(np.diff(fs, axis=1), fs[:, -1], rcond=None)[0]
+            if i == hist.width:
+                # Before the ring wraps, the columns are in history order.
+                fitted = hist.fit(fs[:, -1])
+                assert np.abs(fitted - theta).max() <= 1e-10 * np.abs(theta).max()
+            want = (gv[:, -1] - np.diff(gv, axis=1) @ theta).view(complex).reshape(k, k)
+            assert cand is not None
+            assert np.abs(cand - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_dependent_columns_reset_to_newest_pair(self):
+        # Dyadic entries: the two residual differences are exactly equal, and
+        # so is the Gram factorization's second pivot, 1/16 - (1/4)^2 = 0.
+        x0 = np.eye(2, dtype=complex) / 2
+        d = np.diag([1.0, -1.0]).astype(complex) / 16
+        e = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / 8
+        xs = [x0, x0 + d, x0 + 2 * d, x0 + 3 * d]
+        fs = [-e / 2, e / 2, 3 * e / 2, e]
+        hist = centers._Anderson(2)
+        assert hist.step(xs[0], xs[0] + fs[0]) is None
+        mixed = hist.step(xs[1], xs[1] + fs[1])
+        assert mixed is not None and hist.cols == 1
+        assert hist.step(xs[2], xs[2] + fs[2]) is None
+        assert hist.cols == 0
+        assert np.array_equal(hist.f, _real(fs[2]))
+        assert hist.step(xs[3], xs[3] + fs[3]) is not None
+        assert hist.cols == 1
+        assert np.array_equal(hist.df[:, 0], _real(fs[3] - fs[2]))
+
+    def test_qubit_history_holds_at_most_three_columns(self):
+        rng = np.random.default_rng(4)
+        xs = _near_states(rng, 2, 12, 0.05)
+        gs = [x + 0.01 * (s - x) for x, s in zip(xs, _near_states(rng, 2, 12, 0.5))]
+        hist = centers._Anderson(2)
+        assert hist.df.shape == hist.dg.shape == (8, 3)
+        held = []
+        for x, g in zip(xs, gs):
+            hist.step(x, g)
+            held.append(hist.cols)
+        assert max(held) == 3
+
+    @pytest.mark.parametrize("k, width", [(1, 0), (2, 3), (3, 6), (16, 6)])
+    def test_width_is_capped_by_dimension(self, k, width):
+        assert centers._Anderson(k).width == width
+
+    def test_step_after_undo_is_plain(self, monkeypatch):
+        events = []
+
+        class Recorded(centers._Anderson):
+            def clear(self):
+                if hasattr(self, "cols"):  # not the clear of __init__
+                    events.append("undo")
+                super().clear()
+
+            def step(self, sigma, step):
+                cand = super().step(sigma, step)
+                events.append("plain" if cand is None else "mixed")
+                return cand
+
+        monkeypatch.setattr(centers, "_Anderson", Recorded)
+        w, p = parse_preset("random:2:3:1")
+        res = solve_center_Qbar(w, p, RenyiParams.sandwiched(64.0))
+        assert res.converged
+        undos = [i for i, e in enumerate(events) if e == "undo"]
+        assert undos
+        assert all(events[i + 1] == "plain" for i in undos)
+
+    @pytest.mark.parametrize("ratio, accepted", [(1e-13, False), (1e-11, True)])
+    def test_positive_definiteness_rule(self, ratio, accepted):
+        # _PD_RTOL = 1e-12 bounds lambda_min / lambda_max from below.
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        cand = (q * np.array([1.0, ratio])) @ q.conj().T
+        cand = 0.5 * (cand + cand.conj().T)
+        assert centers._safely_definite(cand) is accepted
+        assert centers._safely_definite(-cand) is False
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_rank_one_average_needs_one_sweep(self, alpha):
+        # W(P) has rank 1, so the compressed space is k = 1: width 0.
+        psi = np.array([0.6, 0.8j])
+        pure = HermitianOperator(np.outer(psi, psi.conj()))
+        w = GcqChannel({"0": pure, "1": pure})
+        p = InputDistribution({"0": 0.3, "1": 0.7})
+        params = RenyiParams.sandwiched(alpha)
+        d = solve_center_D(w, p, params)
+        assert d.converged and d.iterations == 1
+        assert d.value == pytest.approx(0.0, abs=1e-14)
+        qb = solve_center_Qbar(w, p, params)
+        assert qb.converged and qb.iterations == 1
+        assert math.log(params.s * qb.value) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("kind", ["D", "Qbar", "T"])
+    @pytest.mark.parametrize("symbols", [1, 3])
+    def test_is_the_weighted_sum(self, kind, symbols):
+        rng = np.random.default_rng(6)
+        ghat = np.stack([random_state_mat(rng, 3) for _ in range(symbols)])
+        assert np.abs(ghat[:, 0, 1].imag).min() > 0.0
+        logq = rng.normal(size=symbols)
+        probs = rng.dirichlet(np.ones(symbols))
+        if kind == "D":
+            weights = probs
+        elif kind == "Qbar":
+            weights = probs * np.exp(logq) / (probs @ np.exp(logq))
+        else:
+            weights = probs * np.exp(logq)
+        want = sum(wx * gx for wx, gx in zip(weights, ghat))
+        got = centers._assemble(kind, ghat, logq, probs)
+        assert got.shape == (3, 3)
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestDivergenceRadius:

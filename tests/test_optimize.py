@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyicq.optimize import factor, minimize_states, pack, unpack
+from renyicq import optimize
+from renyicq.channels import average_output, random_cq_channel
+from renyicq.optimize import factor, minimize_dmax, minimize_states, pack, unpack
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "renyicq"
 
@@ -61,6 +63,31 @@ def test_minimize_states_skips_non_finite_values():
     _assert_state(sigma)
     assert math.isfinite(value) and value <= 1e-12
     assert sigma[0, 0].real == pytest.approx(0.6, abs=1e-6)
+
+
+def test_dmax_ladder_stops_at_first_stage_without_a_step(monkeypatch):
+    # A stage that takes no step leaves its start a minimum of the smoothing
+    # to working precision, so the temperature ladder ends there.
+    nits = []
+    bfgs = optimize._bfgs
+
+    def recorded(*args, **kwargs):
+        res = bfgs(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(optimize, "_bfgs", recorded)
+    w, p = random_cq_channel(2, 3, np.random.default_rng(0))
+    mats = np.stack([w.output(s).mat for s in p.support])
+    probs = np.array([p.probability(s) for s in p.support])
+    start = average_output(w, p).mat
+    value, sigma = minimize_dmax(mats, probs, start)
+    _assert_state(sigma)
+    assert nits[-1] == 0 and 0 not in nits[:-1]
+    assert len(nits) < len(optimize._CHI_INF_TEMPS)
+    linv = np.linalg.inv(np.linalg.cholesky(start))
+    top = np.linalg.eigvalsh(linv @ mats @ linv.conj().T)[:, -1]
+    assert value <= float(probs @ np.log(top)) - 1e-6
 
 
 def test_no_private_imports_across_modules():

@@ -17,11 +17,14 @@ Usage, from the repository root::
     python tools/center_sweep.py diff parent.json change.json
 
 ``run`` imports renyicq from the ``src/`` next to this directory and writes
-one JSON record per solve: the case, ``sweeps``, ``method``, ``converged``
-and ``value`` (or ``error``).  ``diff`` prints the sweep totals, the solves
-left unconverged or not solved by the fixed point, the solves whose sweeps
-rose, and the largest relative value change; then, for each kind (D, Qbar,
-T), the sweep totals and the number of solves whose sweeps or value changed.
+one JSON record per solve: the case, ``sweeps``, ``method``, ``converged``,
+``value`` (or ``error``) and the solve's wall ``seconds``.  ``diff`` prints
+the sweep totals, the solves left unconverged or not solved by the fixed
+point, the solves whose sweeps rose (largest new/old ratio first), and the
+largest relative value change; then, for each kind (D, Qbar, T), the sweep
+totals, the microseconds per sweep (so "fewer sweeps" can be told from
+"cheaper sweeps") and the number of solves whose sweeps or value changed.
+Seconds are timings, never a changed value.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -71,13 +75,15 @@ def run(grid, out):
         for kind, rule, alpha in cases(grid):
             params = RenyiParams(alpha, alpha if rule == "sandwiched" else 1.0)
             rec = {"preset": preset, "kind": kind, "rule": rule, "alpha": alpha}
+            start = time.perf_counter()
             try:
                 res = SOLVERS[kind](w, p, params)
             except Exception as exc:  # recorded, so a diff shows it
                 rec["error"] = f"{type(exc).__name__}: {exc}"
             else:
                 rec.update(sweeps=res.iterations, method=res.method,
-                           converged=bool(res.converged), value=float(res.value))
+                           converged=bool(res.converged), value=float(res.value),
+                           seconds=time.perf_counter() - start)
             records.append(rec)
     Path(out).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"{len(records)} solves written to {out}")
@@ -104,6 +110,7 @@ def diff(old_path, new_path):
             print(f"  {k}: {recs[k].get('error') or recs[k]['method']}")
     rose = [(k, old[k]["sweeps"], new[k]["sweeps"]) for k in old
             if "sweeps" in old[k] and "sweeps" in new[k] and new[k]["sweeps"] > old[k]["sweeps"]]
+    rose.sort(key=lambda r: r[2] / r[1], reverse=True)
     print(f"{len(rose)} solves took more sweeps")
     for k, a, b in rose:
         print(f"  {k}: {a} -> {b}")
@@ -121,8 +128,19 @@ def diff(old_path, new_path):
         totals = [sum(recs[k].get("sweeps", 0) for k in keys) for recs in (old, new)]
         sweeps = sum(old[k].get("sweeps") != new[k].get("sweeps") for k in keys)
         values = sum(old[k].get("value") != new[k].get("value") for k in keys)
+        per_sweep = " -> ".join(_us_per_sweep(recs, keys) for recs in (old, new))
         print(f"{kind}: {totals[0]} -> {totals[1]} sweeps over {len(keys)} solves, "
+              f"{per_sweep} us per sweep, "
               f"{sweeps} with changed sweeps, {values} with a changed value")
+
+
+def _us_per_sweep(recs, keys):
+    """Microseconds per sweep over the solves of ``keys`` (``n/a`` without timings)."""
+    timed = [recs[k] for k in keys if "seconds" in recs[k]]
+    sweeps = sum(r["sweeps"] for r in timed)
+    if not sweeps:
+        return "n/a"
+    return f"{1e6 * sum(r['seconds'] for r in timed) / sweeps:.0f}"
 
 
 def main(argv=None):
