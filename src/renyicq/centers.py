@@ -1,5 +1,12 @@
 """Weighted divergence centers and radii of gcq channels.
 
+Every D and Q-bar center solve runs through `CenterProblem.solve`.  A
+`CenterProblem` restricts (W, P) to the support of W(P) once: the isometry,
+the compressed start W(P), log Tr W_x and the compressed powers
+W_x^(alpha/z), kept per exponent.  `solve_center_D` and `solve_center_Qbar`
+build one per call; ``exponents.RadiusCache`` builds one for all its orders
+and its alpha -> inf endpoint.
+
 The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
 safeguarded Anderson mixing over the damped center map, on unit-trace
 iterates, which falls back to the plain damped step whenever a mixed
@@ -13,12 +20,14 @@ has the budgets DEFAULT_TOL on that residual and DEFAULT_MAX_ITER sweeps,
 read at call time; one that runs out of sweeps returns its last iterate,
 flagged.  The unnormalized Tsallis map is homogeneous of the same degree
 1 - alpha as the Q-bar map, so the Tsallis center is the Q-bar center
-rescaled once, not a third iteration.  Every map, on the compressed support
-during a solve and on the full space in the public ``fixed_point_map_*``,
-is assembled by `_assemble` from one call of the log-domain sweep kernel
-``backend.center_sweep``.  Each solve reports the radius that `_radius`
-reads off the sweep of its returned center: F at that state, so an upper
-bound on the radius whether or not the solve converged.
+rescaled once, not a third iteration.  Its scale, like
+`mutual_information`, comes from log sum_x P(x) Q_x taken by log-sum-exp,
+finite at orders where the sum itself overflows.  Every map, on the
+compressed support during a solve and on the full space in the public
+``fixed_point_map_*``, is assembled by `_assemble` from one call of the
+log-domain sweep kernel ``backend.center_sweep``.  Each solve reports the
+radius that `_radius` reads off the sweep of its returned center: F at that
+state, so an upper bound on the radius whether or not the solve converged.
 
 `solve_center_direct`, `mutual_information_direct` and
 `weighted_radius_beta` for 1 < beta < inf search states by the multistart
@@ -31,9 +40,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.special import logsumexp
 
 from . import backend
 from .channels import GcqChannel, InputDistribution, average_output, lifted_state
@@ -104,26 +115,9 @@ class CenterResult:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-def _powered_outputs(w: GcqChannel, p: InputDistribution, params: RenyiParams):
-    """Supported symbols, their probabilities and the stacked W(x)^(alpha/z)."""
-    symbols = p.support
-    probs = np.array([p.probability(s) for s in symbols])
-    wpows = np.stack(
-        [support_power(w.output(s), params.alpha / params.z).mat for s in symbols]
-    )
-    return symbols, probs, wpows
-
-
-def _compressed_problem(w: GcqChannel, p: InputDistribution, params: RenyiParams):
-    """Restrict the solve to ran W(P)^0 and pre-power the outputs."""
-    avg = average_output(w, p)
-    iso = support_isometry(avg)
-    symbols, probs, wpows = _powered_outputs(w, p, params)
-    wpows = iso.conj().T @ wpows @ iso
-    sigma0 = iso.conj().T @ avg.mat @ iso
-    sigma0 = 0.5 * (sigma0 + sigma0.conj().T)
-    w_traces = np.array([w.output(s).trace() for s in symbols])
-    return iso, symbols, probs, wpows, sigma0, w_traces
+def _powered_outputs(w: GcqChannel, symbols, exponent: float) -> np.ndarray:
+    """The stacked W(x)^exponent of ``symbols``, taken on each support."""
+    return np.stack([support_power(w.output(s), exponent).mat for s in symbols])
 
 
 def _assemble(kind, ghat, logq, probs):
@@ -290,10 +284,6 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
     return sigma, logq, it, trace_norm(phi - sigma), False
 
 
-def _embed(iso, sigma):
-    return iso @ sigma @ iso.conj().T
-
-
 def weighted_divergence(w: GcqChannel, p: InputDistribution, params: RenyiParams,
                         sigma) -> float:
     """F(sigma) = sum_x P(x) D_{alpha,z}(W(x) || sigma)."""
@@ -331,8 +321,10 @@ def _full_space_map(kind, w, p, params, sigma, op):
         raise ValueError(f"{op} requires a PSD sigma")
     if kind != "T":
         _check_support_match(sigma, w, p)
-    symbols, probs, wpows = _powered_outputs(w, p, params)
+    symbols = p.support
+    probs = np.array([p.probability(s) for s in symbols])
     a, z = params.alpha, params.z
+    wpows = _powered_outputs(w, symbols, a / z)
     ghat, logq = backend.center_sweep(sigma.mat, wpows, z, (1.0 - a) / (2.0 * z))
     if kind != "T" and np.isneginf(logq).any():
         sym = symbols[int(np.argmax(np.isneginf(logq)))]
@@ -368,45 +360,100 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _solve_common(w, p, params, sigma0, kind) -> CenterResult:
-    """The D or the Q-bar center: the fixed-point solve on the compressed
-    support.  ``value`` is `_radius` at the returned center, read off its own
-    sweep; an unconverged solve returns the loop's last iterate, flagged, so
-    its value is F at a state and an upper bound on the radius.  Outside the
-    proven parameter region the result is stamped ``heuristic``.
+class CenterProblem:
+    """The weighted center problem of (W, P), restricted to supp W(P) once.
+
+    Holds the isometry V onto the support of W(P), the supported symbols and
+    their probabilities, the compressed start V* W(P) V (Hermitian part), log
+    Tr W_x, and the compressed powers V* W_x^(alpha/z) V, built on first use
+    and kept per exponent alpha/z.  The compressed outputs V* W_x V, which
+    only the alpha -> inf endpoint needs, are built on first use too.  Every
+    D and Q-bar center solve runs through :meth:`solve`; one problem serves
+    any number of orders, as a `RadiusCache` does.
     """
-    _require_finite_z(params, f"solve_center_{kind}")
-    report = classify_region(params)
-    if kind == "D":
-        proven = report.in_Gamma_D and report.second_arg_convex_D
-    else:
-        proven = report.in_Gamma_Qbar and report.second_arg_convex_Qbar
-    iso, symbols, probs, wpows, sig0c, w_traces = _compressed_problem(w, p, params)
-    a, z = params.alpha, params.z
-    if sigma0 is not None:
-        sig_start = iso.conj().T @ herm(sigma0).mat @ iso
-        sig_start = 0.5 * (sig_start + sig_start.conj().T)
-    else:
-        sig_start = sig0c
 
-    sigma, logq, iters, residual, ok = _run_fixed_point(
-        wpows, probs, sig_start, z, (1.0 - a) / (2.0 * z), a, kind
-    )
-    value = _radius(kind, sigma, logq, probs, a, np.log(w_traces))
-    return CenterResult(DensityOperator(_embed(iso, sigma)), value, iters, residual, ok,
-                        FIXED_POINT, not proven)
+    def __init__(self, w: GcqChannel, p: InputDistribution):
+        self.w = w
+        self.average = average_output(w, p)
+        self.iso = support_isometry(self.average)
+        self.symbols = p.support
+        self.probs = np.array([p.probability(s) for s in self.symbols])
+        start = self.compress(self.average.mat)
+        self.start = 0.5 * (start + start.conj().T)
+        self.log_traces = np.log([w.output(s).trace() for s in self.symbols])
+        self._powers = {}
+
+    def compress(self, mat):
+        """V* mat V, for one matrix or a stack."""
+        return self.iso.conj().T @ mat @ self.iso
+
+    def embed(self, sigma):
+        """V sigma V*, back on the full space."""
+        return self.iso @ sigma @ self.iso.conj().T
+
+    def powers(self, exponent: float) -> np.ndarray:
+        """The stacked V* W_x^exponent V."""
+        wpows = self._powers.get(exponent)
+        if wpows is None:
+            wpows = self.compress(_powered_outputs(self.w, self.symbols, exponent))
+            self._powers[exponent] = wpows
+        return wpows
+
+    @cached_property
+    def outputs(self) -> np.ndarray:
+        """The stacked V* W_x V."""
+        return self.compress(np.stack([self.w.output(s).mat for s in self.symbols]))
+
+    def solve(self, params: RenyiParams, kind: str, sigma0=None) -> CenterResult:
+        """The D or the Q-bar center: the fixed-point solve on the compressed
+        support, from V* sigma0 V (Hermitian part) or else from W(P).
+        ``value`` is `_radius` at the returned center, read off its own sweep;
+        an unconverged solve returns the loop's last iterate, flagged, so its
+        value is F at a state and an upper bound on the radius.  Outside the
+        proven parameter region the result is stamped ``heuristic``.
+        """
+        return self._solve(params, kind, sigma0)[0]
+
+    def _solve(self, params, kind, sigma0=None):
+        """`solve`, and log Q_x at its returned center, normalized to unit trace."""
+        _require_finite_z(params, f"solve_center_{kind}")
+        report = classify_region(params)
+        if kind == "D":
+            proven = report.in_Gamma_D and report.second_arg_convex_D
+        else:
+            proven = report.in_Gamma_Qbar and report.second_arg_convex_Qbar
+        a, z = params.alpha, params.z
+        if sigma0 is not None:
+            sig_start = self.compress(herm(sigma0).mat)
+            sig_start = 0.5 * (sig_start + sig_start.conj().T)
+        else:
+            sig_start = self.start
+
+        sigma, logq, iters, residual, ok = _run_fixed_point(
+            self.powers(a / z), self.probs, sig_start, z, (1.0 - a) / (2.0 * z), a, kind
+        )
+        # Q_x is homogeneous of degree 1 - alpha in sigma.
+        logq = logq - (1.0 - a) * math.log(float(np.trace(sigma).real))
+        value = _radius(kind, logq, self.probs, a, self.log_traces)
+        res = CenterResult(DensityOperator(self.embed(sigma)), value, iters, residual, ok,
+                           FIXED_POINT, not proven)
+        return res, logq
+
+    def _solve_qbar_logged(self, params):
+        """The Q-bar solve, and log sum_x P(x) Q_x at its center by
+        log-sum-exp: finite where the sum itself overflows (large orders)."""
+        res, logq = self._solve(params, "Qbar")
+        return res, float(logsumexp(logq, b=self.probs))
 
 
-def _radius(kind, sigma, logq, probs, alpha, log_traces) -> float:
-    """The radius at sigma / Tr sigma from one sweep's logq = log Q_x(sigma).
+def _radius(kind, logq, probs, alpha, log_traces) -> float:
+    """The radius at a unit-trace state from its sweep's logq = log Q_x.
 
-    Q_x is homogeneous of degree 1 - alpha in sigma, so log Q_x(sigma / Tr
-    sigma) = logq - (1 - alpha) log Tr sigma.  For D this gives sum_x P(x)
-    (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar the signed radius
-    s(alpha) sum_x P(x) Q_x.  Every solve reports this value; at any state it
-    is the solve's own objective, so it bounds the radius from above.
+    For D this is sum_x P(x) (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar
+    the signed radius s(alpha) sum_x P(x) Q_x.  Every solve reports this
+    value; at any state it is the solve's own objective, so it bounds the
+    radius from above.
     """
-    logq = logq - (1.0 - alpha) * math.log(float(np.trace(sigma).real))
     if kind == "Qbar":
         return math.copysign(float(probs @ np.exp(logq)), alpha - 1.0)
     if np.isneginf(logq).any():
@@ -425,13 +472,13 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     is F there, an upper bound on the radius.  Outside the proven parameter
     region the result is stamped ``heuristic``.
     """
-    return _solve_common(w, p, params, sigma0, "D")
+    return CenterProblem(w, p).solve(params, "D", sigma0)
 
 
 def solve_center_Qbar(w: GcqChannel, p: InputDistribution,
                       params: RenyiParams) -> CenterResult:
     """Weighted Q-bar center; ``value`` is the signed radius chi_Qbar."""
-    return _solve_common(w, p, params, None, "Qbar")
+    return CenterProblem(w, p).solve(params, "Qbar")
 
 
 def solve_center_tsallis(w: GcqChannel, p: InputDistribution,
@@ -443,14 +490,17 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution,
     Q-bar center sigma_Q scaled by c with c^alpha = sum_x P(x) Q_x(sigma_Q)
     = s(alpha) chi_Qbar, and for unit-trace sigma Phi_T(c sigma) - c sigma =
     c (Phi_Q(sigma) - sigma): the residual is c times the Q-bar residual.
-    ``iterations``, ``method`` and ``heuristic`` are the Q-bar solve's.
+    log c comes from the log of that sum, so c stays finite where the sum
+    overflows.  ``iterations``, ``method`` and ``heuristic`` are the Q-bar
+    solve's.
     """
     _require_finite_z(params, "solve_center_tsallis")
-    qb = solve_center_Qbar(w, p, params)
+    problem = CenterProblem(w, p)
+    qb, log_moment = problem._solve_qbar_logged(params)
     a = params.alpha
-    c = (params.s * qb.value) ** (1.0 / a)
+    c = math.exp(log_moment / a)
     residual = c * qb.residual
-    value = (a / (1.0 - a)) * (average_output(w, p).trace() - c)
+    value = (a / (1.0 - a)) * (problem.average.trace() - c)
     return CenterResult(HermitianOperator(c * qb.center.mat), value, qb.iterations, residual,
                         residual <= DEFAULT_TOL * max(1.0, c), qb.method, qb.heuristic)
 
@@ -709,11 +759,14 @@ def holevo_quantity(w: GcqChannel, p: InputDistribution):
 
 
 def mutual_information(w: GcqChannel, p: InputDistribution, params: RenyiParams) -> float:
-    """I_{alpha,z}(W,P) = (1/(alpha-1)) log s(alpha) chi_Qbar(W,P)."""
+    """I_{alpha,z}(W,P) = (1/(alpha-1)) log s(alpha) chi_Qbar(W,P).
+
+    The log is taken of sum_x P(x) Q_x by log-sum-exp, so I stays finite at
+    orders where s(alpha) chi_Qbar overflows.
+    """
     if params.alpha == 1.0:
         return holevo_quantity(w, p)[0]
-    res = solve_center_Qbar(w, p, params)
-    return math.log(params.s * res.value) / (params.alpha - 1.0)
+    return CenterProblem(w, p)._solve_qbar_logged(params)[1] / (params.alpha - 1.0)
 
 
 def mutual_information_direct(w: GcqChannel, p: InputDistribution,

@@ -9,7 +9,10 @@ order whose center solve fails is dropped with a warning.  Below the Holevo
 quantity the strong converse exponent is exactly 0, since chi*_alpha >=
 chi_1 for alpha > 1.  Above it, g(u) = u (R - chi*_{1/(1-u)}) is concave in
 u = 1 - 1/alpha, so the alpha -> infinity endpoint is solved only while
-the grid argmax is the last order.
+the grid argmax is the last order.  Every radius comes from a `RadiusCache`,
+which holds one ``centers.CenterProblem``: (W, P) is compressed to the
+support of W(P) once for all orders and for the endpoint, and the Holevo
+quantity is computed once per cache.
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
@@ -28,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .centers import holevo_quantity, solve_center_D, weighted_divergence
+from .centers import CenterProblem, holevo_quantity, weighted_divergence
 from .channels import GcqChannel, InputDistribution, TypeClass, average_output
 from .divergences import RenyiParams, q_alpha_z
 from .exceptions import NonConvergenceError
-from .operators import DensityOperator, herm, support_isometry, support_projection
+from .operators import DensityOperator, herm, support_projection
 from .optimize import minimize_dmax
 
 DEFAULT_ALPHA_MAX = 64.0
@@ -75,13 +78,17 @@ class ConvexityReport:
 
 
 class RadiusCache:
-    """Memoized chi_alpha evaluations with warm-started solves.
+    """Memoized chi_alpha evaluations of one (W, P), with warm-started solves.
 
-    ``rule`` picks z = alpha ("sandwiched") or z = 1 ("petz"); the alpha ->
-    infinity endpoint (max-relative-entropy radius) is solved once by BFGS
-    on a smoothing, see :meth:`chi_inf`, and its minimizing state is kept
-    in ``chi_inf_center``.  An order whose solve did not converge
-    keeps its message and raises it again without another solve.
+    Holds one ``centers.CenterProblem``, so supp W(P) and the powered
+    outputs are compressed once for every order and for :meth:`chi_inf`, and
+    the Holevo quantity, computed once (:meth:`holevo`).  ``rule`` picks z =
+    alpha ("sandwiched") or z = 1 ("petz"); each order is solved from the
+    center of the nearest cached order.  The alpha -> infinity endpoint
+    (max-relative-entropy radius) is solved once by BFGS on a smoothing, see
+    :meth:`chi_inf`, and its minimizing state is kept in ``chi_inf_center``.
+    An order whose solve did not converge keeps its message and raises it
+    again without another solve.
     """
 
     def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched"):
@@ -90,8 +97,10 @@ class RadiusCache:
         self.w = w
         self.p = p
         self.rule = rule
+        self.problem = CenterProblem(w, p)
         self._results = {}
         self._failures = {}
+        self._holevo = None
         self._chi_inf = None
         self.chi_inf_center = None
 
@@ -110,7 +119,7 @@ class RadiusCache:
             warm = self._results[nearest].center
         params = self._params(alpha)
         try:
-            res = solve_center_D(self.w, self.p, params, sigma0=warm).require_converged(params)
+            res = self.problem.solve(params, "D", sigma0=warm).require_converged(params)
         except NonConvergenceError as exc:
             self._failures[alpha] = str(exc)
             raise
@@ -119,6 +128,12 @@ class RadiusCache:
 
     def chi(self, alpha: float) -> float:
         return self.result(alpha).value
+
+    def holevo(self) -> float:
+        """The Holevo quantity chi_1(W, P), computed on the first call."""
+        if self._holevo is None:
+            self._holevo = holevo_quantity(self.w, self.p)[0]
+        return self._holevo
 
     def chi_inf(self) -> float:
         """Weighted max-relative-entropy radius (the alpha -> inf endpoint)
@@ -132,17 +147,13 @@ class RadiusCache:
         radius, never above the objective at the start point.
         """
         if self._chi_inf is None:
-            avg = average_output(self.w, self.p)
-            iso = support_isometry(avg)
-            symbols = self.p.support
-            probs = np.array([self.p.probability(s) for s in symbols])
-            mats = np.stack([iso.conj().T @ self.w.output(s).mat @ iso for s in symbols])
+            problem = self.problem
             if self._results:
                 start = self._results[max(self._results)].center.mat
             else:
-                start = avg.mat
-            value, sigma = minimize_dmax(mats, probs, iso.conj().T @ start @ iso)
-            self.chi_inf_center = DensityOperator(iso @ sigma @ iso.conj().T)
+                start = problem.average.mat
+            value, sigma = minimize_dmax(problem.outputs, problem.probs, problem.compress(start))
+            self.chi_inf_center = DensityOperator(problem.embed(sigma))
             self._chi_inf = value
         return self._chi_inf
 
@@ -196,7 +207,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     cache = _cache_for(w, p, "sandwiched", cache)
-    if rate <= holevo_quantity(w, p)[0]:
+    if rate <= cache.holevo():
         return 0.0, 1.0
     us, gs = [0.0], [0.0]
     g_inf = -math.inf  # unsolved while concavity rules the endpoint out

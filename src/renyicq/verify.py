@@ -380,7 +380,7 @@ def check_mutual_info_direct(ctx):
 def check_sc_exponent_shape(ctx):
     w, p = ctx.random_channels(1)[0]
     cache = exponents.RadiusCache(w, p)
-    hol, _ = centers.holevo_quantity(w, p)
+    hol = cache.holevo()
     val, _ = exponents.sc_exponent(w, p, 0.5 * hol, cache=cache)
     assert val == 0.0, f"sc positive below the Holevo quantity: {val}"
     chi2 = cache.chi(2.0)
@@ -393,7 +393,7 @@ def check_sc_exponent_shape(ctx):
 def check_sc_convexity(ctx):
     w, p = ctx.random_channels(1)[0]
     cache = exponents.RadiusCache(w, p)
-    hol, _ = centers.holevo_quantity(w, p)
+    hol = cache.holevo()
     rates = np.linspace(0.5 * hol, 2.5 * hol + 1.0, 50)
     curve = exponents.sc_curve(w, p, rates, cache=cache)
     v = curve.values
@@ -407,7 +407,7 @@ def check_sc_convexity(ctx):
 def check_cutoff_tangency(ctx):
     w, p = ctx.random_channels(1)[0]
     cache = exponents.RadiusCache(w, p)
-    hol, _ = centers.holevo_quantity(w, p)
+    hol = cache.holevo()
     rates = np.linspace(0.5 * hol, 3.0 * hol + 1.0, 25)
     curve = exponents.sc_curve(w, p, rates, cache=cache)
     for kappa in np.linspace(0.1, 0.9, 9):

@@ -394,6 +394,15 @@ class TestSolveCenterTsallis:
         out = fixed_point_map_tsallis(w, p, RenyiParams(2.0, 1.0), sigma)
         assert out.dim == 2
 
+    @pytest.mark.parametrize("alpha", [600.0, 1024.0])
+    def test_large_order_noiseless_converges(self, alpha):
+        # The Q-bar solve converges; c is formed from log sum_x P(x) Q_x.
+        w, p = parse_preset("noiseless:4")
+        res = solve_center_tsallis(w, p, RenyiParams.sandwiched(alpha))
+        assert res.converged
+        assert np.isfinite(res.center.mat).all()
+        assert math.isfinite(res.value)
+
     def test_noiseless_value_positive(self):
         w, p = noiseless_channel(2)
         res = solve_center_tsallis(w, p, RenyiParams(2.0, 1.0))
@@ -762,6 +771,19 @@ class TestMutualInformation:
         w, p = random_cq_channel(2, 3, rng)
         assert mutual_information(w, p, RenyiParams(1.0, 1.0)) == pytest.approx(
             holevo_quantity(w, p)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [600.0, 1024.0])
+    def test_large_order_noiseless_is_log_d(self, alpha):
+        # sum_x P(x) Q_x is about e^1418 at alpha = 1024; I comes from its log.
+        w, p = parse_preset("noiseless:4")
+        info = mutual_information(w, p, RenyiParams.sandwiched(alpha))
+        assert info == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_large_order_stays_finite_above_holevo(self):
+        w, p = parse_preset("random:4:3:1")
+        info = mutual_information(w, p, RenyiParams.sandwiched(1024.0))
+        assert math.isfinite(info)
+        assert info >= holevo_quantity(w, p)[0] - 1e-9
 
 
 class TestProductStructure:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from _helpers import diagonal_channel, random_state_mat
-from renyicq.centers import FIXED_POINT, CenterResult, holevo_quantity, solve_center_D
+from renyicq.centers import (
+    FIXED_POINT,
+    CenterProblem,
+    CenterResult,
+    holevo_quantity,
+    solve_center_D,
+)
 from renyicq.channels import (
     GcqChannel,
     InputDistribution,
@@ -124,6 +130,9 @@ class TestScExponent:
             def chi_inf(self):
                 raise NonConvergenceError("stub")
 
+            def holevo(self):
+                return real.holevo()
+
         with pytest.raises(NonConvergenceError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -146,6 +155,9 @@ class TestScExponent:
             def chi_inf(self):
                 return real.chi_inf()
 
+            def holevo(self):
+                return real.holevo()
+
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             value, _ = sc_exponent(w, p, 2.0 * LN2, cache=Flaky())
@@ -165,7 +177,6 @@ class TestScExponent:
 
 class TestRadiusCache:
     def test_failed_order_raises_again_without_a_solve(self, monkeypatch):
-        from renyicq import exponents
         from renyicq.exceptions import NonConvergenceError
 
         calls = []
@@ -174,12 +185,60 @@ class TestRadiusCache:
             calls.append(args)
             return CenterResult(None, math.nan, 1, 0.5, False, FIXED_POINT)
 
-        monkeypatch.setattr(exponents, "solve_center_D", unconverged)
+        monkeypatch.setattr(CenterProblem, "solve", unconverged)
         w, p = noiseless_channel(2)
         cache = RadiusCache(w, p)
         for _ in range(2):
             with pytest.raises(NonConvergenceError, match="alpha=2.0"):
                 cache.chi(2.0)
+        assert len(calls) == 1
+
+    # Each order after the first is nearest the one before, its warm start.
+    @pytest.mark.parametrize("rule,orders", [("sandwiched", (2.0, 3.0, 3.5)),
+                                             ("petz", (0.5, 0.7, 0.8))])
+    def test_orders_match_cold_solves_bitwise(self, rule, orders):
+        w, p = parse_preset("random:2:3:7")
+        cache = RadiusCache(w, p, rule)
+        warm = None
+        for alpha in orders:
+            params = RenyiParams(alpha, alpha if rule == "sandwiched" else 1.0)
+            cold = solve_center_D(w, p, params, sigma0=warm)
+            res = cache.result(alpha)
+            assert res.value == cold.value
+            assert np.array_equal(res.center.mat, cold.center.mat)
+            warm = res.center
+
+    def test_curve_compresses_once(self, monkeypatch):
+        from renyicq import centers
+
+        calls = []
+        isometry = centers.support_isometry
+
+        def counted(a):
+            calls.append(a)
+            return isometry(a)
+
+        monkeypatch.setattr(centers, "support_isometry", counted)
+        w, p = parse_preset("random:2:3:7")
+        cache = RadiusCache(w, p)
+        rates = np.linspace(1.2 * holevo_quantity(w, p)[0], math.log(2.0) + 0.05, 6)
+        sc_curve(w, p, rates, cache=cache)
+        assert cache.chi_inf_center is not None
+        assert len(calls) == 1
+
+    def test_curve_computes_the_holevo_quantity_once(self, monkeypatch):
+        from renyicq import exponents
+
+        calls = []
+
+        def counted(w, p):
+            calls.append(p)
+            return holevo_quantity(w, p)
+
+        monkeypatch.setattr(exponents, "holevo_quantity", counted)
+        w, p = parse_preset("random:2:3:7")
+        rates = np.linspace(0.5, 0.75, 6)
+        sc_curve(w, p, rates)
         assert len(calls) == 1
 
     def test_sphere_packing_rejects_a_sandwiched_cache(self):

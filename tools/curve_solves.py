@@ -10,8 +10,9 @@ Usage, from the repository root::
     python tools/curve_solves.py diff parent.json change.json
 
 ``run`` imports renyicq from the ``src/`` next to this directory and writes
-one record per preset: the sandwiched center solves (``solves``) and their
-fixed-point sweeps (``sweeps``), the alpha -> inf endpoint solves
+one record per preset: the sandwiched center solves (``solves``, counted at
+``centers.CenterProblem.solve``, the one entry of every D and Q-bar solve)
+and their fixed-point sweeps (``sweeps``), the alpha -> inf endpoint solves
 (``chi_inf_solves``, 0 or 1 per cache), the wall time, and each rate's
 (value, argmax).  ``diff`` prints both files' totals, the largest absolute
 value change and the number of changed argmaxes, overall and per preset.
@@ -30,8 +31,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from renyicq import exponents  # noqa: E402
-from renyicq.centers import holevo_quantity  # noqa: E402
+from renyicq import centers, exponents  # noqa: E402
 from renyicq.channels import parse_preset  # noqa: E402
 
 PRESETS = ("random:2:3:7", "random:2:3:8", "random:3:3:1", "random:4:4:7")
@@ -41,9 +41,9 @@ RATES = 24
 def curve(preset):
     """One record: the solves, sweeps and values of one 24-rate curve."""
     w, p = parse_preset(preset)
-    rates = np.linspace(0.5 * holevo_quantity(w, p)[0], math.log(w.dim) + 0.05, RATES)
+    rates = np.linspace(0.5 * centers.holevo_quantity(w, p)[0], math.log(w.dim) + 0.05, RATES)
     solves = []
-    solve = exponents.solve_center_D
+    solve = centers.CenterProblem.solve
 
     def counted(*args, **kwargs):
         res = solve(*args, **kwargs)
@@ -51,13 +51,13 @@ def curve(preset):
         return res
 
     cache = exponents.RadiusCache(w, p)
-    exponents.solve_center_D = counted
+    centers.CenterProblem.solve = counted
     try:
         start = time.perf_counter()
         out = exponents.sc_curve(w, p, rates, cache=cache)
         seconds = time.perf_counter() - start
     finally:
-        exponents.solve_center_D = solve
+        centers.CenterProblem.solve = solve
     return {"preset": preset, "solves": len(solves), "sweeps": int(sum(solves)),
             "chi_inf_solves": int(cache.chi_inf_center is not None),
             "seconds": round(seconds, 3), "rates": out.rates.tolist(),
