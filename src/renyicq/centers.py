@@ -3,9 +3,11 @@
 Every D and Q-bar center solve runs through `CenterProblem.solve`.  A
 `CenterProblem` restricts (W, P) to the support of W(P) once: the isometry,
 the compressed start W(P), log Tr W_x and the compressed powers
-W_x^(alpha/z), kept per exponent.  `solve_center_D` and `solve_center_Qbar`
-build one per call; ``exponents.RadiusCache`` builds one for all its orders
-and its alpha -> inf endpoint.
+W_x^(alpha/z), kept per exponent.  It also owns the alpha -> inf endpoint
+(`CenterProblem.solve_dmax`), the one other solve on that compression.
+`solve_center_D` and `solve_center_Qbar` build one per call,
+`divergence_radius` one per ascent round, and ``exponents.RadiusCache`` one
+for all its orders and its alpha -> inf endpoint.
 
 The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
 safeguarded Anderson mixing over the damped center map, on unit-trace
@@ -28,6 +30,8 @@ compressed support during a solve and on the full space in the public
 log-domain sweep kernel ``backend.center_sweep``.  Each solve reports the
 radius that `_radius` reads off the sweep of its returned center: F at that
 state, so an upper bound on the radius whether or not the solve converged.
+`divergence_radius` reads every D(W_x||sigma) of a round off the same sweep
+(`_symbol_divergences`).
 
 `solve_center_direct`, `mutual_information_direct` and
 `weighted_radius_beta` for 1 < beta < inf search states by the multistart
@@ -40,7 +44,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -59,7 +62,7 @@ from .operators import (
     support_projection,
     trace_norm,
 )
-from .optimize import factor, minimize_states, pack, unpack
+from .optimize import factor, minimize_dmax, minimize_states, pack, unpack
 
 FIXED_POINT = "fixed_point"
 CLOSED_FORM_Z1 = "closed_form_z1"
@@ -366,10 +369,10 @@ class CenterProblem:
     Holds the isometry V onto the support of W(P), the supported symbols and
     their probabilities, the compressed start V* W(P) V (Hermitian part), log
     Tr W_x, and the compressed powers V* W_x^(alpha/z) V, built on first use
-    and kept per exponent alpha/z.  The compressed outputs V* W_x V, which
-    only the alpha -> inf endpoint needs, are built on first use too.  Every
-    D and Q-bar center solve runs through :meth:`solve`; one problem serves
-    any number of orders, as a `RadiusCache` does.
+    and kept per exponent alpha/z.  Every D and Q-bar center solve runs
+    through :meth:`solve`, and the alpha -> inf endpoint through
+    :meth:`solve_dmax`; one problem serves any number of orders, as a
+    `RadiusCache` does.
     """
 
     def __init__(self, w: GcqChannel, p: InputDistribution):
@@ -398,11 +401,6 @@ class CenterProblem:
             wpows = self.compress(_powered_outputs(self.w, self.symbols, exponent))
             self._powers[exponent] = wpows
         return wpows
-
-    @cached_property
-    def outputs(self) -> np.ndarray:
-        """The stacked V* W_x V."""
-        return self.compress(np.stack([self.w.output(s).mat for s in self.symbols]))
 
     def solve(self, params: RenyiParams, kind: str, sigma0=None) -> CenterResult:
         """The D or the Q-bar center: the fixed-point solve on the compressed
@@ -439,6 +437,22 @@ class CenterProblem:
                            FIXED_POINT, not proven)
         return res, logq
 
+    def solve_dmax(self, start=None):
+        """The weighted max-relative-entropy radius (the alpha -> inf endpoint)
+
+            chi_inf = min_sigma sum_x P(x) D_max(W(x) || sigma),
+
+        by ``optimize.minimize_dmax`` (BFGS on a smoothing) over the
+        compressed outputs V* W_x V, from V* start V for a full-space
+        ``start`` (else from W(P)).  Returns (value, center): the value is the
+        exact objective at the returned center, so an upper bound on chi_inf,
+        never above the objective at the start.
+        """
+        start = self.average.mat if start is None else start
+        outputs = self.compress(np.stack([self.w.output(s).mat for s in self.symbols]))
+        value, sigma = minimize_dmax(outputs, self.probs, self.compress(start))
+        return value, DensityOperator(self.embed(sigma))
+
     def _solve_qbar_logged(self, params):
         """The Q-bar solve, and log sum_x P(x) Q_x at its center by
         log-sum-exp: finite where the sum itself overflows (large orders)."""
@@ -446,18 +460,29 @@ class CenterProblem:
         return res, float(logsumexp(logq, b=self.probs))
 
 
+def _symbol_divergences(logq, alpha, log_traces) -> np.ndarray:
+    """Every D_x = D(W_x || sigma) at a unit-trace state sigma from its sweep's
+    logq = log Q_x: (log Q_x - log Tr W_x) / (alpha - 1), and +inf where Q_x
+    vanishes, which makes D infinite on either side of alpha = 1."""
+    dvals = (logq - log_traces) / (alpha - 1.0)
+    dvals[np.isneginf(logq)] = math.inf
+    return dvals
+
+
 def _radius(kind, logq, probs, alpha, log_traces) -> float:
     """The radius at a unit-trace state from its sweep's logq = log Q_x.
 
-    For D this is sum_x P(x) (log Q_x - log Tr W_x) / (alpha - 1); for Q-bar
-    the signed radius s(alpha) sum_x P(x) Q_x.  Every solve reports this
-    value; at any state it is the solve's own objective, so it bounds the
-    radius from above.
+    For D this is sum_x P(x) D_x with the D_x of `_symbol_divergences`,
+    summed before the division by alpha - 1; for Q-bar the signed radius
+    s(alpha) sum_x P(x) Q_x, which overflows to inf at large orders, silently
+    (`_solve_qbar_logged` takes its log by log-sum-exp).  Every solve reports
+    this value; at any state it is the solve's own objective, so it bounds
+    the radius from above.
     """
     if kind == "Qbar":
-        return math.copysign(float(probs @ np.exp(logq)), alpha - 1.0)
+        with np.errstate(over="ignore"):
+            return math.copysign(float(probs @ np.exp(logq)), alpha - 1.0)
     if np.isneginf(logq).any():
-        # A vanishing Q_x makes D infinite on either side of alpha = 1.
         return math.inf
     return float(probs @ (logq - log_traces) / (alpha - 1.0))
 
@@ -689,10 +714,13 @@ def divergence_radius(w: GcqChannel, params: RenyiParams):
     """Unweighted radius inf_sigma sup_x D(W(x)||sigma) = max_P chi(W, P).
 
     Multiplicative weights P(x) <- P(x) exp(D(W(x)||sigma_P)) with the
-    constant step 1, one warm-started center solve per round, until the gap
-    max_x D(W(x)||sigma_P) - chi(W, P) is at most RADIUS_TOL; after 500
-    rounds it warns and returns the round with the least max_x D, an upper
-    bound on the radius.  Returns (radius, center, worst_P).
+    constant step 1, one warm-started center solve per round.  Each round
+    reads every D(W(x)||sigma_P) off the sweep that certified its center
+    (`_symbol_divergences`), so max_x D and the gap max_x D - sum_x P(x) D
+    come from one set of numbers.  It stops at the first round whose solve
+    converged with a gap of at most RADIUS_TOL; after 500 rounds it warns
+    and returns the round with the least max_x D, an upper bound on the
+    radius.  Returns (radius, center, worst_P).
     """
     report = classify_region(params)
     if not report.second_arg_convex_D:
@@ -703,14 +731,16 @@ def divergence_radius(w: GcqChannel, params: RenyiParams):
     best = None
     for _ in range(500):
         p_t = InputDistribution(dict(zip(symbols, weights)))
-        res = solve_center_D(w, p_t, params, sigma0=warm)
+        # Every weight stays positive, so the problem's symbols are the alphabet.
+        problem = CenterProblem(w, p_t)
+        res, logq = problem._solve(params, "D", warm)
         warm = res.center
-        dvals = np.array([d_alpha_z(w.output(s), res.center, params) for s in symbols])
+        dvals = _symbol_divergences(logq, params.alpha, problem.log_traces)
         radius_up = float(dvals.max())
-        gap = radius_up - res.value
+        gap = radius_up - float(problem.probs @ dvals)
         if best is None or radius_up < best[0]:
             best = (radius_up, res.center, p_t)
-        if gap <= RADIUS_TOL:
+        if res.converged and gap <= RADIUS_TOL:
             return radius_up, res.center, p_t
         weights = weights * np.exp(dvals - radius_up)
         weights = np.maximum(weights, 1e-300)
@@ -766,7 +796,9 @@ def mutual_information(w: GcqChannel, p: InputDistribution, params: RenyiParams)
     """
     if params.alpha == 1.0:
         return holevo_quantity(w, p)[0]
-    return CenterProblem(w, p)._solve_qbar_logged(params)[1] / (params.alpha - 1.0)
+    res, log_moment = CenterProblem(w, p)._solve_qbar_logged(params)
+    res.require_converged(params)
+    return log_moment / (params.alpha - 1.0)
 
 
 def mutual_information_direct(w: GcqChannel, p: InputDistribution,

@@ -16,10 +16,11 @@ quantity is computed once per cache.
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
-D_max(W(x)||sigma), a convex problem.  ``optimize.minimize_dmax`` solves
-it by BFGS with exact gradients on a log-sum-exp smoothing whose
-temperature rises up to 5e10; the reported value is the unsmoothed objective
-at the final state, hence an upper bound on chi_inf.
+D_max(W(x)||sigma), a convex problem.  The cache's problem solves it
+(``centers.CenterProblem.solve_dmax``: BFGS with exact gradients on a
+log-sum-exp smoothing whose temperature rises up to 5e10); the reported
+value is the unsmoothed objective at the final state, hence an upper bound
+on chi_inf.  The cache only picks its start and keeps the result.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .channels import GcqChannel, InputDistribution, TypeClass, average_output
 from .divergences import RenyiParams, q_alpha_z
 from .exceptions import NonConvergenceError
 from .operators import DensityOperator, herm, support_projection
-from .optimize import minimize_dmax
 
 DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
@@ -140,21 +140,15 @@ class RadiusCache:
 
             chi_inf = min_sigma sum_x P(x) D_max(W(x) || sigma),
 
-        solved on the support of W(P) by ``optimize.minimize_dmax`` (BFGS on a
-        smoothing), warm-started from the center of the largest cached order
-        (else from W(P)).  The returned value is the exact objective at the
-        state kept in ``chi_inf_center``, so it is an upper bound on the true
-        radius, never above the objective at the start point.
+        solved once by the cache's problem (``CenterProblem.solve_dmax``, BFGS
+        on a smoothing), warm-started from the center of the largest cached
+        order (else from W(P)).  The returned value is the exact objective at
+        the state kept in ``chi_inf_center``, so it is an upper bound on the
+        true radius, never above the objective at the start point.
         """
         if self._chi_inf is None:
-            problem = self.problem
-            if self._results:
-                start = self._results[max(self._results)].center.mat
-            else:
-                start = problem.average.mat
-            value, sigma = minimize_dmax(problem.outputs, problem.probs, problem.compress(start))
-            self.chi_inf_center = DensityOperator(problem.embed(sigma))
-            self._chi_inf = value
+            start = self._results[max(self._results)].center.mat if self._results else None
+            self._chi_inf, self.chi_inf_center = self.problem.solve_dmax(start)
         return self._chi_inf
 
 

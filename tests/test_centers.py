@@ -39,7 +39,7 @@ from renyicq.channels import (
     random_cq_channel,
 )
 from renyicq.divergences import INF_Z, RenyiParams, d_alpha_z, tsallis, umegaki
-from renyicq.exceptions import SingularInputError
+from renyicq.exceptions import NonConvergenceError, SingularInputError
 from renyicq.exponents import RadiusCache
 from renyicq.operators import (
     DensityOperator,
@@ -677,6 +677,37 @@ class TestDivergenceRadius:
             radius, _, _ = divergence_radius(w, SANDWICHED_2)
         assert radius <= 0.2937
 
+    def test_reads_the_divergences_off_its_own_sweeps(self, monkeypatch):
+        def no_evaluator(*args, **kwargs):
+            raise AssertionError("the ascent recomputed a divergence")
+
+        monkeypatch.setattr(centers, "d_alpha_z", no_evaluator)
+        w, _ = random_cq_channel(2, 3, np.random.default_rng(1))
+        radius, _, _ = divergence_radius(w, SANDWICHED_2)
+        assert radius <= 0.34431
+
+    @pytest.mark.parametrize("params", [SANDWICHED_2, RenyiParams.petz(0.7),
+                                        RenyiParams.sandwiched(16.0)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_radius_is_the_largest_symbol_divergence(self, params, d):
+        w, _ = random_cq_channel(d, 3, np.random.default_rng(1))
+        radius, center, _ = divergence_radius(w, params)
+        want = max(d_alpha_z(w.output(s), center, params) for s in w.alphabet)
+        assert radius == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unconverged_rounds_certify_nothing(self, monkeypatch, seed):
+        # With one sweep per solve most rounds end unconverged; the ascent
+        # may certify only a round whose center is a fixed point, or warn.
+        monkeypatch.setattr(centers, "DEFAULT_MAX_ITER", 1)
+        w, _ = random_cq_channel(2, 3, np.random.default_rng(seed))
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            _, center, worst = divergence_radius(w, SANDWICHED_2)
+        if not any("after 500 rounds" in str(e.message) for e in log):
+            phi = fixed_point_map_D(w, worst, SANDWICHED_2, center)
+            assert trace_norm(phi.mat - center.mat) <= 1e-9
+
 
 class TestWeightedRadiusBeta:
     def test_beta_one_matches_center_value(self):
@@ -778,6 +809,20 @@ class TestMutualInformation:
         w, p = parse_preset("noiseless:4")
         info = mutual_information(w, p, RenyiParams.sandwiched(alpha))
         assert info == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(centers, "DEFAULT_MAX_ITER", 1)
+        w, p = parse_preset("random:2:3:7")
+        with pytest.raises(NonConvergenceError, match="alpha=2.0"):
+            mutual_information(w, p, SANDWICHED_2)
+
+    @pytest.mark.parametrize("solve", [mutual_information, solve_center_tsallis])
+    def test_large_order_overflow_of_the_qbar_value_is_silent(self, solve):
+        # s(alpha) chi_Qbar overflows to inf here; neither function reads it.
+        w, p = parse_preset("noiseless:4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(w, p, RenyiParams.sandwiched(1024.0))
 
     def test_large_order_stays_finite_above_holevo(self):
         w, p = parse_preset("random:4:3:1")

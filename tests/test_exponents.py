@@ -328,6 +328,29 @@ class TestChiInf:
         w, p = parse_preset("random:8:4:7")
         assert RadiusCache(w, p).chi_inf() < 0.50490
 
+    def test_endpoint_starts_from_the_compressed_largest_order(self, monkeypatch):
+        from renyicq import centers
+
+        starts = []
+        minimize = centers.minimize_dmax
+
+        def recorded(mats, probs, start):
+            starts.append(start)
+            return minimize(mats, probs, start)
+
+        monkeypatch.setattr(centers, "minimize_dmax", recorded)
+        w, p = parse_preset("random:2:3:7")
+        cache = RadiusCache(w, p)
+        cache.chi(2.0)
+        cache.chi(64.0)
+        value = cache.chi_inf()
+        problem = CenterProblem(w, p)
+        # Exactly V* sigma V of the alpha = 64 center: no symmetrization added.
+        assert np.array_equal(starts[0], problem.compress(cache.result(64.0).center.mat))
+        again, center = problem.solve_dmax(cache.result(64.0).center.mat)
+        assert again == value
+        assert np.array_equal(center.mat, cache.chi_inf_center.mat)
+
     @pytest.mark.parametrize("token", ["random:2:3:7", "random:4:4:7"])
     def test_value_attained_by_kept_center(self, token):
         w, p = parse_preset(token)
