@@ -86,6 +86,8 @@ _GAMMA_CAP = 50.0
 _ANDERSON_DEPTH = 6
 _PD_RTOL = 1e-12
 
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
 
 @dataclass
 class CenterResult:
@@ -119,7 +121,16 @@ class CenterResult:
 # ---------------------------------------------------------------------------
 
 def _powered_outputs(w: GcqChannel, symbols, exponent: float) -> np.ndarray:
-    """The stacked W(x)^exponent of ``symbols``, taken on each support."""
+    """The stacked W(x)^exponent of ``symbols``, taken on each support.
+
+    A power whose largest eigenvalue underflows is refused with a
+    ValueError, as `support_power` refuses one that overflows: the solvers
+    would read the zero matrix as a vanishing overlap.
+    """
+    for s in symbols:
+        top = float(w.output(s).eigenvalues[-1])
+        if top > 0.0 and exponent * math.log(top) < _LOG_TINY:
+            raise ValueError(f"W({s!r})^{exponent:g} underflows double precision")
     return np.stack([support_power(w.output(s), exponent).mat for s in symbols])
 
 

@@ -4,6 +4,14 @@ Conventions: all logs are natural (values in nats); matrix powers act on
 supports; for alpha > 1 a first argument leaking outside the support of the
 second yields :data:`SUPPORT_INF`, a float subclass equal to +inf that is
 distinguishable from an arithmetic overflow.
+
+Q_{alpha,z} has one evaluation, in the log domain (`_log_q`): at finite z
+from the singular values of the sandwich block between the two supports,
+at z = inf by log-sum-exp over the spectrum of alpha log rho +
+(1 - alpha) log sigma.  :func:`q_alpha_z` is its exponential,
+:func:`d_alpha_z` its (log Q - log Tr rho)/(alpha - 1) and :func:`d_hat`
+that value shifted by the log traces, so no order overflows into a support
+violation.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from .operators import (
     EIG_CUTOFF,
     SUPPORT_RTOL,
     HermitianOperator,
-    exp_log_trace,
     herm,
+    log_exp_log_trace,
     support_isometry,
     support_power,
     support_projection,
@@ -176,63 +184,60 @@ def support_dominated(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     return total - inside <= SUPPORT_LEAK_RTOL * max(total, 1e-300)
 
 
-def _validated(rho, sigma, p: RenyiParams, op: str):
-    """Coerce and check a divergence argument pair; returns (rho, sigma, Tr rho)."""
+def _log_q(rho, sigma, p: RenyiParams, op: str):
+    """(log Q_{alpha,z}(rho||sigma), Tr rho), with log Q = SUPPORT_INF when
+    alpha > 1 and rho leaks outside sigma's support, -inf when Q vanishes.
+
+    At finite z, Q sums s^{2z} over the singular values s of the block
+    V_sigma* sigma^{(1-a)/2z} rho^{a/2z} V_rho between the two supports, as
+    2z log s_max + log sum (s/s_max)^{2z}.  Orthogonality is read off the
+    supports, not the powered product: in a generic basis the product of
+    orthogonal supports is roundoff, while a real overlap can sit far below
+    SUPPORT_RTOL once raised to a/z or (1-a)/z > 1.  Supports whose
+    projections overlap by at most SUPPORT_RTOL in Frobenius norm count as
+    orthogonal.  A structural zero of the block comes out at roundoff of its
+    norm, where the full-space product would leave null directions at 1e-16
+    that s^{2z} magnifies for z < 1; past the orthogonality test only
+    roundoff is cut: s^2 up to EIG_CUTOFF times s_max^2, the cutoff of the
+    sweep kernel.
+    """
     rho, sigma = herm(rho), herm(sigma)
     p.require_not_one(op)
     tr = _check_nonzero(rho, op)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return rho, sigma, tr
-
-
-def _sandwich_spectrum(rho: HermitianOperator, sigma: HermitianOperator,
-                       p: RenyiParams) -> np.ndarray:
-    """Nonzero eigenvalues of rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z}, ascending;
-    empty when the product vanishes.
-
-    Orthogonality is read off the supports, not the powered product: in a
-    generic basis the product of orthogonal supports is roundoff, while a
-    real overlap can sit far below SUPPORT_RTOL once raised to a/z or
-    (1-a)/z > 1.  Supports whose projections overlap by at most SUPPORT_RTOL
-    in Frobenius norm, sqrt Tr(P_rho P_sigma), count as orthogonal; an
-    overlap that small is below the roundoff of the product anyway.
-
-    The eigenvalues are the squared singular values of the block
-    V_sigma* sigma^{(1-a)/2z} rho^{a/2z} V_rho between the two supports.  A
-    structural zero of that block comes out at roundoff of its norm, so its
-    square sits near 1e-32 of the largest eigenvalue, where the full-space
-    product would leave null directions at 1e-16 that sum w^z magnifies for
-    z < 1.  Past the orthogonality test only roundoff is cut: eigenvalues up
-    to EIG_CUTOFF times the largest, the cutoff of the sweep kernel.
-    """
     a, z = p.alpha, p.z
+    if a > 1.0 and not support_dominated(rho, sigma):
+        return SUPPORT_INF, tr
+    if p.is_log_euclidean:
+        return log_exp_log_trace(rho, sigma, a), tr
     v_rho, v_sig = support_isometry(rho), support_isometry(sigma)
     if np.linalg.norm(v_rho.conj().T @ v_sig) <= SUPPORT_RTOL:
-        return np.zeros(0)
+        return -math.inf, tr
     block = (v_sig.conj().T @ support_power(sigma, (1.0 - a) / (2.0 * z)).mat
              @ support_power(rho, a / (2.0 * z)).mat @ v_rho)
-    w = np.linalg.svd(block, compute_uv=False)[::-1] ** 2
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        return w[:0]
-    return w[w > wmax * EIG_CUTOFF]
+    s = np.linalg.svd(block, compute_uv=False)
+    smax = float(s[0])
+    if smax <= 0.0:
+        return -math.inf, tr
+    r = s / smax
+    r = r[r > math.sqrt(EIG_CUTOFF)]
+    return 2.0 * z * math.log(smax) + math.log(float(np.sum(r ** (2.0 * z)))), tr
 
 
 def q_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
     """Tr (rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z})^z with powers on supports.
 
-    For alpha > 1 with rho's support leaking outside sigma's, returns
-    SUPPORT_INF; z = inf dispatches to the exp-log-trace form.  Orthogonal
-    supports give 0 when alpha < 1.  The power trace itself may overflow to
-    a plain +inf at large z; :func:`d_alpha_z` works with log Q instead.
+    The exponential of the log Q that :func:`d_alpha_z` reads.  For
+    alpha > 1 with rho's support leaking outside sigma's, returns
+    SUPPORT_INF; z = inf is the exp-log-trace form.  Orthogonal supports
+    give 0 when alpha < 1, and a Q past the largest double a plain +inf.
     """
-    rho, sigma, _ = _validated(rho, sigma, p, "q_alpha_z")
-    if p.alpha > 1.0 and not support_dominated(rho, sigma):
+    log_q, _ = _log_q(rho, sigma, p, "q_alpha_z")
+    if isinstance(log_q, SupportViolationInfinity):
         return SUPPORT_INF
-    if p.is_log_euclidean:
-        return exp_log_trace(rho, sigma, p.alpha)
-    return float(np.sum(_sandwich_spectrum(rho, sigma, p) ** p.z))
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_q))
 
 
 def d_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
@@ -240,26 +245,13 @@ def d_alpha_z(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) 
 
     ``alpha = 1`` delegates to the relative-entropy limit.  Support
     violations (alpha > 1) and orthogonal supports (alpha < 1) both give
-    SUPPORT_INF.  log Q is formed as z log w_max + log sum (w/w_max)^z, so
-    no eigenvalue power over- or underflows: large orders give finite
-    values rather than an overflow mistaken for a support violation.
+    SUPPORT_INF.  log Q never passes through Q itself, so large orders give
+    finite values rather than an overflow mistaken for a support violation.
     """
     if p.alpha == 1.0:
         return umegaki(rho, sigma)
-    rho, sigma, tr = _validated(rho, sigma, p, "d_alpha_z")
-    if p.alpha > 1.0 and not support_dominated(rho, sigma):
-        return SUPPORT_INF
-    if p.is_log_euclidean:
-        q = exp_log_trace(rho, sigma, p.alpha)
-        log_q = math.log(q) if q > 0.0 else -math.inf
-    else:
-        w = _sandwich_spectrum(rho, sigma, p)
-        if w.size == 0:
-            log_q = -math.inf
-        else:
-            wmax = float(w[-1])
-            log_q = p.z * math.log(wmax) + math.log(float(np.sum((w / wmax) ** p.z)))
-    if log_q == -math.inf:
+    log_q, tr = _log_q(rho, sigma, p, "d_alpha_z")
+    if math.isinf(log_q):
         return SUPPORT_INF
     return (log_q - math.log(tr)) / (p.alpha - 1.0)
 
@@ -319,20 +311,18 @@ def tsallis(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) ->
     return (a * rho.trace() + (1.0 - a) * sigma.trace() - q) / (1.0 - a)
 
 
-def _normalized(op: HermitianOperator) -> HermitianOperator:
-    tr = op.trace()
-    out = HermitianOperator(op.mat / tr)
-    w, v = op.eig
-    out._eig = (w / tr, v)
-    return out
-
-
 def d_hat(rho: HermitianOperator, sigma: HermitianOperator, p: RenyiParams) -> float:
-    """Normalized divergence D(rho/Tr rho || sigma/Tr sigma); projective in both arguments."""
+    """Normalized divergence D(rho/Tr rho || sigma/Tr sigma); projective in both arguments.
+
+    By homogeneity, D(rho/a || sigma/b) = D(rho || sigma) - log a + log b.
+    """
     rho, sigma = herm(rho), herm(sigma)
-    _check_nonzero(rho, "d_hat")
-    _check_nonzero(sigma, "d_hat")
-    return d_alpha_z(_normalized(rho), _normalized(sigma), p)
+    tr_rho = _check_nonzero(rho, "d_hat")
+    tr_sigma = _check_nonzero(sigma, "d_hat")
+    d = d_alpha_z(rho, sigma, p)
+    if isinstance(d, SupportViolationInfinity):
+        return SUPPORT_INF
+    return d - math.log(tr_rho) + math.log(tr_sigma)
 
 
 def q_alpha_z_regularized(rho: HermitianOperator, sigma: HermitianOperator,

@@ -201,12 +201,15 @@ def _common_support_isometry(rho: HermitianOperator, sigma: HermitianOperator):
     return u[:, keep]
 
 
-def exp_log_trace(rho: HermitianOperator, sigma: HermitianOperator, alpha: float) -> float:
-    """Tr exp(alpha log rho + (1-alpha) log sigma) on the common support.
+def log_exp_log_trace(rho: HermitianOperator, sigma: HermitianOperator,
+                      alpha: float) -> float:
+    """log Tr exp(alpha log rho + (1-alpha) log sigma) on the common support.
 
     Both operators are compressed onto the support of rho^0 sigma^0 rho^0
     and the logs are taken there, where both compressions are positive
-    definite.  A zero common support yields 0.
+    definite.  The trace is summed by log-sum-exp over the spectrum of the
+    exponent, so the result stays finite where the trace itself overflows.
+    A zero common support yields -inf.
     """
     rho, sigma = herm(rho), herm(sigma)
     if rho.dim != sigma.dim:
@@ -216,12 +219,22 @@ def exp_log_trace(rho: HermitianOperator, sigma: HermitianOperator, alpha: float
             raise ValueError(f"{name} argument must be PSD")
     v = _common_support_isometry(rho, sigma)
     if v is None:
-        return 0.0
+        return -np.inf
     r = v.conj().T @ rho.mat @ v
     s = v.conj().T @ sigma.mat @ v
     combo = alpha * _log_pd(r) + (1.0 - alpha) * _log_pd(s)
     w = np.linalg.eigvalsh(0.5 * (combo + combo.conj().T))
-    return float(np.exp(w).sum())
+    top = float(w[-1])
+    return top + float(np.log(np.exp(w - top).sum()))
+
+
+def exp_log_trace(rho: HermitianOperator, sigma: HermitianOperator, alpha: float) -> float:
+    """Tr exp(alpha log rho + (1-alpha) log sigma) on the common support: the
+    exponential of :func:`log_exp_log_trace`.  A zero common support yields
+    0, a trace past the largest double a plain +inf.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_exp_log_trace(rho, sigma, alpha)))
 
 
 def _log_pd(mat: np.ndarray) -> np.ndarray:

@@ -498,6 +498,27 @@ class TestUnconvergedSolve:
         assert forced.converged == (forced.residual <= DEFAULT_TOL)
 
 
+class TestPowerUnderflow:
+    """W_1^1024 of random:4:3:1 underflows (lambda_max 0.457): a refusal
+    naming the symbol and the power, not a vanishing overlap."""
+
+    @pytest.mark.parametrize("solver", [solve_center_D, solve_center_Qbar])
+    def test_refused_as_underflow(self, solver):
+        w, p = parse_preset("random:4:3:1")
+        with pytest.raises(ValueError, match=r"W\('1'\)\^1024 underflows") as info:
+            solver(w, p, RenyiParams.petz(1024.0))
+        assert not isinstance(info.value, SingularInputError)
+
+    @pytest.mark.parametrize("solver, want", [(solve_center_D, 1.2660644909777818),
+                                              (solve_center_Qbar, 6.095318708109799e293)])
+    def test_order_512_unchanged(self, solver, want, monkeypatch):
+        monkeypatch.setattr(centers, "DEFAULT_MAX_ITER", 3)
+        w, p = parse_preset("random:4:3:1")
+        res = solver(w, p, RenyiParams.petz(512.0))
+        assert res.iterations == 3
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+
 def _real(mat):
     """A k x k complex matrix as the real vector the mixing works on."""
     return mat.ravel().view(float)

@@ -158,6 +158,15 @@ class TestDivergenceCommand:
         assert table[("0", "0")] == pytest.approx(0.0, abs=1e-12)
         assert math.isinf(table[("0", "1")])
 
+    def test_log_euclidean_large_order_is_finite(self, capsys):
+        # Tr exp(512 log W_0 - 511 log W_1) is past the largest double.
+        assert cli.main(["divergence", "--preset", "random:4:3:1", "--alpha", "512",
+                         "--z", "inf"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        values = {(r[0], r[1]): float(r[4]) for r in rows}
+        assert len(values) == 9 and all(math.isfinite(v) for v in values.values())
+        assert values[("0", "1")] == pytest.approx(2.351656387714214, abs=1e-10)
+
 
 class TestInputsAndErrors:
     def test_file_input(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from _helpers import classical_q_scalar, random_herm, random_state_mat
+from renyicq.channels import parse_preset
 from renyicq.divergences import (
     INF_Z,
     SUPPORT_INF,
@@ -177,6 +178,29 @@ class TestDAlphaZ:
         assert isinstance(d_alpha_z(P_HALF, PURE0, RenyiParams.sandwiched(4096.0)),
                           SupportViolationInfinity)
 
+    def test_petz_overflow_is_not_a_support_violation(self):
+        # sigma^(1-a) = 1e351 on |1>: Q = 0.6^40 (1-1e-9)^-39 + 0.4^40 1e351
+        # is past the largest double, though the supports overlap.
+        rho, sigma = state([0.6, 0.4]), HermitianOperator(np.diag([1.0 - 1e-9, 1e-9]))
+        params = RenyiParams.petz(40.0)
+        log_q = np.logaddexp(40 * math.log(0.6) - 39 * math.log1p(-1e-9),
+                             40 * math.log(0.4) - 39 * math.log(1e-9))
+        got = d_alpha_z(rho, sigma, params)
+        assert got == pytest.approx(log_q / 39.0, rel=1e-12)
+        assert got == pytest.approx(19.783480470921635, rel=1e-12)
+        q = q_alpha_z(rho, sigma, params)
+        assert q == math.inf and not isinstance(q, SupportViolationInfinity)
+
+    @pytest.mark.parametrize("alpha, want", [(64.0, 2.3395843182036002),
+                                             (512.0, 2.351656387714214),
+                                             (1024.0, 2.352507002034593)])
+    def test_log_euclidean_large_order(self, alpha, want):
+        # Tr exp(a log W_0 + (1-a) log W_1) is past the largest double from
+        # alpha = 512 on; the references are 60-digit evaluations.
+        w, _ = parse_preset("random:4:3:1")
+        got = d_alpha_z(w.output("0"), w.output("1"), RenyiParams.log_euclidean(alpha))
+        assert got == pytest.approx(want, abs=1e-12)
+
 
 class TestUmegaki:
     def test_equal_states(self):
@@ -271,6 +295,14 @@ class TestDHat:
             sig = HermitianOperator(0.3 * random_state_mat(rng, 2))
             alpha = 2.0 if rng.random() < 0.5 else 0.6
             assert d_hat(rho, sig, RenyiParams(alpha, 1.3)) >= -1e-10
+
+    @pytest.mark.parametrize("params", [RenyiParams(2.0, 1.0), RenyiParams.sandwiched(3.0),
+                                        RenyiParams.log_euclidean(2.0)])
+    def test_support_violation_passes_through(self, params):
+        # Shifting by the log traces must not turn SUPPORT_INF into a plain inf.
+        got = d_hat(HermitianOperator(2.5 * P_HALF.mat), HermitianOperator(0.3 * PURE0.mat),
+                    params)
+        assert isinstance(got, SupportViolationInfinity)
 
 
 class TestClassifyRegion:
@@ -384,6 +416,20 @@ class TestInvariants:
             done += 1
             assert d_hat(rho, sig, RenyiParams(alpha, z)) > 1e-6
             assert tsallis(rho, sig, RenyiParams(alpha, z)) > 1e-6
+
+    @pytest.mark.parametrize("params", [RenyiParams(0.5, 1.0), RenyiParams(0.3, 2.0),
+                                        RenyiParams.sandwiched(2.0), RenyiParams(3.0, 0.7),
+                                        RenyiParams.petz(40.0), RenyiParams.log_euclidean(0.6),
+                                        RenyiParams.log_euclidean(8.0)])
+    @pytest.mark.parametrize("rank", [3, 2])
+    def test_log_q_is_scaled_divergence(self, params, rank):
+        # log Q = (alpha - 1) D + log Tr rho, with Tr rho != 1 and a deficient rho.
+        rng = np.random.default_rng(12)
+        rho = HermitianOperator(2.5 * random_state_mat(rng, 3, rank))
+        sig = HermitianOperator(0.4 * random_state_mat(rng, 3))
+        q = q_alpha_z(rho, sig, params)
+        want = (params.alpha - 1.0) * d_alpha_z(rho, sig, params) + math.log(rho.trace())
+        assert math.log(q) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestRegularizedPath:
