@@ -1,6 +1,7 @@
 """Weighted divergence centers and radii of gcq channels.
 
-Every D and Q-bar center solve runs through `CenterProblem.solve`.  A
+Every D and Q-bar center solve runs through `CenterProblem.solve`, whose
+result carries the sweep that certified it (``CenterResult.log_q``).  A
 `CenterProblem` restricts (W, P) to the support of W(P) once: the isometry,
 the compressed start W(P), log Tr W_x and the compressed powers
 W_x^(alpha/z), kept per exponent.  It also owns the alpha -> inf endpoint
@@ -23,15 +24,16 @@ read at call time; one that runs out of sweeps returns its last iterate,
 flagged.  The unnormalized Tsallis map is homogeneous of the same degree
 1 - alpha as the Q-bar map, so the Tsallis center is the Q-bar center
 rescaled once, not a third iteration.  Its scale, like
-`mutual_information`, comes from log sum_x P(x) Q_x taken by log-sum-exp,
-finite at orders where the sum itself overflows.  Every map, on the
-compressed support during a solve and on the full space in the public
-``fixed_point_map_*``, is assembled by `_assemble` from one call of the
-log-domain sweep kernel ``backend.center_sweep``.  Each solve reports the
-radius that `_radius` reads off the sweep of its returned center: F at that
-state, so an upper bound on the radius whether or not the solve converged.
-`divergence_radius` reads every D(W_x||sigma) of a round off the same sweep
-(`_symbol_divergences`).
+`mutual_information`, comes from log sum_x P(x) Q_x taken by log-sum-exp of
+the Q-bar solve's ``log_q``, finite at orders where the sum itself
+overflows.  Every map, on the compressed support during a solve and on the
+full space in the public ``fixed_point_map_*``, is assembled by `_assemble`
+from one call of the log-domain sweep kernel ``backend.center_sweep``.  Each
+solve reports the radius that `_radius` reads off the sweep of its returned
+center: F at that state, so an upper bound on the radius whether or not the
+solve converged.
+`divergence_radius` reads every D(W_x||sigma) of a round off the same sweep,
+its solve's ``log_q`` (`_symbol_divergences`).
 
 `solve_center_direct`, `mutual_information_direct` and
 `weighted_radius_beta` for 1 < beta < inf search states by the multistart
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -95,7 +97,11 @@ class CenterResult:
 
     ``residual`` is the trace-norm fixed-point defect at the returned
     center; ``converged`` implies residual <= DEFAULT_TOL.  ``heuristic`` marks
-    solves outside the proven parameter region.
+    solves outside the proven parameter region.  ``log_q`` is the sweep that
+    certified a fixed-point solve: log Q_{alpha,z}(W_x || sigma) for each
+    symbol of ``p.support`` at the returned unit-trace center sigma, the
+    numbers its ``value`` is read off.  The closed form, the direct searches,
+    the oracle and the Tsallis rescale leave it None.
     """
 
     center: HermitianOperator
@@ -105,6 +111,7 @@ class CenterResult:
     converged: bool
     method: str
     heuristic: bool = False
+    log_q: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def require_converged(self, params: RenyiParams) -> "CenterResult":
         """Return self, or raise NonConvergenceError naming ``params``."""
@@ -416,15 +423,12 @@ class CenterProblem:
     def solve(self, params: RenyiParams, kind: str, sigma0=None) -> CenterResult:
         """The D or the Q-bar center: the fixed-point solve on the compressed
         support, from V* sigma0 V (Hermitian part) or else from W(P).
-        ``value`` is `_radius` at the returned center, read off its own sweep;
-        an unconverged solve returns the loop's last iterate, flagged, so its
-        value is F at a state and an upper bound on the radius.  Outside the
-        proven parameter region the result is stamped ``heuristic``.
+        ``value`` is `_radius` at the returned center, read off its own sweep,
+        which the result keeps as ``log_q``; an unconverged solve returns the
+        loop's last iterate, flagged, so its value is F at a state and an upper
+        bound on the radius.  Outside the proven parameter region the result
+        is stamped ``heuristic``.
         """
-        return self._solve(params, kind, sigma0)[0]
-
-    def _solve(self, params, kind, sigma0=None):
-        """`solve`, and log Q_x at its returned center, normalized to unit trace."""
         _require_finite_z(params, f"solve_center_{kind}")
         report = classify_region(params)
         if kind == "D":
@@ -444,9 +448,8 @@ class CenterProblem:
         # Q_x is homogeneous of degree 1 - alpha in sigma.
         logq = logq - (1.0 - a) * math.log(float(np.trace(sigma).real))
         value = _radius(kind, logq, self.probs, a, self.log_traces)
-        res = CenterResult(DensityOperator(self.embed(sigma)), value, iters, residual, ok,
-                           FIXED_POINT, not proven)
-        return res, logq
+        return CenterResult(DensityOperator(self.embed(sigma)), value, iters, residual, ok,
+                            FIXED_POINT, not proven, logq)
 
     def solve_dmax(self, start=None):
         """The weighted max-relative-entropy radius (the alpha -> inf endpoint)
@@ -464,12 +467,6 @@ class CenterProblem:
         value, sigma = minimize_dmax(outputs, self.probs, self.compress(start))
         return value, DensityOperator(self.embed(sigma))
 
-    def _solve_qbar_logged(self, params):
-        """The Q-bar solve, and log sum_x P(x) Q_x at its center by
-        log-sum-exp: finite where the sum itself overflows (large orders)."""
-        res, logq = self._solve(params, "Qbar")
-        return res, float(logsumexp(logq, b=self.probs))
-
 
 def _symbol_divergences(logq, alpha, log_traces) -> np.ndarray:
     """Every D_x = D(W_x || sigma) at a unit-trace state sigma from its sweep's
@@ -486,9 +483,9 @@ def _radius(kind, logq, probs, alpha, log_traces) -> float:
     For D this is sum_x P(x) D_x with the D_x of `_symbol_divergences`,
     summed before the division by alpha - 1; for Q-bar the signed radius
     s(alpha) sum_x P(x) Q_x, which overflows to inf at large orders, silently
-    (`_solve_qbar_logged` takes its log by log-sum-exp).  Every solve reports
-    this value; at any state it is the solve's own objective, so it bounds
-    the radius from above.
+    (its callers take its log from ``log_q`` by log-sum-exp).  Every solve
+    reports this value; at any state it is the solve's own objective, so it
+    bounds the radius from above.
     """
     if kind == "Qbar":
         with np.errstate(over="ignore"):
@@ -498,8 +495,8 @@ def _radius(kind, logq, probs, alpha, log_traces) -> float:
     return float(probs @ (logq - log_traces) / (alpha - 1.0))
 
 
-def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
-                   sigma0=None) -> CenterResult:
+def solve_center_D(w: GcqChannel, p: InputDistribution,
+                   params: RenyiParams) -> CenterResult:
     """Weighted divergence center and radius chi_{alpha,z}(W, P).
 
     Anderson-mixed damped fixed-point iteration from W(P) restricted to its
@@ -508,7 +505,7 @@ def solve_center_D(w: GcqChannel, p: InputDistribution, params: RenyiParams,
     is F there, an upper bound on the radius.  Outside the proven parameter
     region the result is stamped ``heuristic``.
     """
-    return CenterProblem(w, p).solve(params, "D", sigma0)
+    return CenterProblem(w, p).solve(params, "D")
 
 
 def solve_center_Qbar(w: GcqChannel, p: InputDistribution,
@@ -532,9 +529,9 @@ def solve_center_tsallis(w: GcqChannel, p: InputDistribution,
     """
     _require_finite_z(params, "solve_center_tsallis")
     problem = CenterProblem(w, p)
-    qb, log_moment = problem._solve_qbar_logged(params)
+    qb = problem.solve(params, "Qbar")
     a = params.alpha
-    c = math.exp(log_moment / a)
+    c = math.exp(float(logsumexp(qb.log_q, b=problem.probs)) / a)
     residual = c * qb.residual
     value = (a / (1.0 - a)) * (problem.average.trace() - c)
     return CenterResult(HermitianOperator(c * qb.center.mat), value, qb.iterations, residual,
@@ -744,9 +741,9 @@ def divergence_radius(w: GcqChannel, params: RenyiParams):
         p_t = InputDistribution(dict(zip(symbols, weights)))
         # Every weight stays positive, so the problem's symbols are the alphabet.
         problem = CenterProblem(w, p_t)
-        res, logq = problem._solve(params, "D", warm)
+        res = problem.solve(params, "D", warm)
         warm = res.center
-        dvals = _symbol_divergences(logq, params.alpha, problem.log_traces)
+        dvals = _symbol_divergences(res.log_q, params.alpha, problem.log_traces)
         radius_up = float(dvals.max())
         gap = radius_up - float(problem.probs @ dvals)
         if best is None or radius_up < best[0]:
@@ -807,9 +804,9 @@ def mutual_information(w: GcqChannel, p: InputDistribution, params: RenyiParams)
     """
     if params.alpha == 1.0:
         return holevo_quantity(w, p)[0]
-    res, log_moment = CenterProblem(w, p)._solve_qbar_logged(params)
-    res.require_converged(params)
-    return log_moment / (params.alpha - 1.0)
+    problem = CenterProblem(w, p)
+    res = problem.solve(params, "Qbar").require_converged(params)
+    return float(logsumexp(res.log_q, b=problem.probs)) / (params.alpha - 1.0)
 
 
 def mutual_information_direct(w: GcqChannel, p: InputDistribution,

@@ -7,20 +7,12 @@ with a diagnostic on violation.  The suite is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import centers, channels, divergences as dv, exponents, operators as ops
 from .classical import ClassicalChannel
 from .divergences import INF_Z, RenyiParams
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _random_herm(rng, dim):

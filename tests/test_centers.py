@@ -38,7 +38,14 @@ from renyicq.channels import (
     product_distribution,
     random_cq_channel,
 )
-from renyicq.divergences import INF_Z, RenyiParams, d_alpha_z, tsallis, umegaki
+from renyicq.divergences import (
+    INF_Z,
+    RenyiParams,
+    d_alpha_z,
+    q_alpha_z,
+    tsallis,
+    umegaki,
+)
 from renyicq.exceptions import NonConvergenceError, SingularInputError
 from renyicq.exponents import RadiusCache
 from renyicq.operators import (
@@ -466,6 +473,26 @@ class TestSolveCenterDirect:
         # commuting channel: same as the z = 1 weighted center problem
         reference = solve_center_D(w, p, RenyiParams(2.0, 1.0)).value
         assert abs(direct.value - reference) < 1e-5
+
+
+class TestLogQ:
+    @pytest.mark.parametrize("kind", ["D", "Qbar"])
+    @pytest.mark.parametrize("params", [SANDWICHED_2, RenyiParams.petz(0.7)],
+                             ids=["sandwiched-2", "petz-0.7"])
+    def test_is_the_sweep_at_the_returned_center(self, kind, params):
+        # A fixed-point result keeps log Q_x at its own unit-trace center, one
+        # entry per supported symbol; no other method has such a sweep.
+        w, p = parse_preset("random:2:3:7")
+        res = centers.CenterProblem(w, p).solve(params, kind)
+        want = np.log([q_alpha_z(w.output(s), res.center, params) for s in p.support])
+        np.testing.assert_allclose(res.log_q, want, rtol=1e-12, atol=0.0)
+        if kind == "D":
+            others = [solve_center_direct(w, p, params), oracle_grid_center(w, p, params)]
+        else:
+            others = [solve_center_tsallis(w, p, params)]
+            if params.z == 1.0:
+                others.append(closed_form_center_z1(w, p, params.alpha))
+        assert [o.log_q for o in others] == [None] * len(others)
 
 
 class TestUnconvergedSolve:

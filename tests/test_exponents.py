@@ -10,7 +10,6 @@ from renyicq.centers import (
     CenterProblem,
     CenterResult,
     holevo_quantity,
-    solve_center_D,
 )
 from renyicq.channels import (
     GcqChannel,
@@ -202,7 +201,7 @@ class TestRadiusCache:
         warm = None
         for alpha in orders:
             params = RenyiParams(alpha, alpha if rule == "sandwiched" else 1.0)
-            cold = solve_center_D(w, p, params, sigma0=warm)
+            cold = CenterProblem(w, p).solve(params, "D", warm)
             res = cache.result(alpha)
             assert res.value == cold.value
             assert np.array_equal(res.center.mat, cold.center.mat)

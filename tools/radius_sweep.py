@@ -17,12 +17,13 @@ Usage, from the repository root::
 ``run`` imports renyicq from the ``src/`` next to this directory and writes
 one JSON record per case: the ``value`` (or ``error``), the weighted center
 solves it made (``solves``, one per ascent round, counted at
-``centers.CenterProblem._solve``, the entry the ascent calls), whether it
-hit the 500-round cap (``capped``, with the duality ``gap`` its warning
-reports), and the wall ``seconds``.  ``diff`` prints, per set and file, the
-solves, seconds and capped cases, then the cases newly capped and the
-largest value rise and drop.  The two sets take about 12 s on one core of a
-2-vCPU VM with one BLAS thread.
+``centers.CenterProblem.solve``, the one entry of every D and Q-bar solve,
+as in ``tools/curve_solves.py``), whether it hit the 500-round cap
+(``capped``, with the duality ``gap`` its warning reports), and the wall
+``seconds``.  ``diff`` prints, per set and file, the solves, seconds and
+capped cases, then the cases newly capped and the largest value rise and
+drop.  The two sets take about 17 s on one core of a 2-vCPU VM with one
+BLAS thread.
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ def solve(name, rule, alpha, d, seed):
     w, p = random_cq_channel(d, 3, np.random.default_rng(seed))
     params = RenyiParams(alpha, alpha if rule == "sandwiched" else 1.0)
     solves = 0
-    inner = centers.CenterProblem._solve
+    inner = centers.CenterProblem.solve
 
     def counted(*args, **kwargs):
         nonlocal solves
         solves += 1
         return inner(*args, **kwargs)
 
-    centers.CenterProblem._solve = counted
+    centers.CenterProblem.solve = counted
     try:
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
@@ -83,7 +84,7 @@ def solve(name, rule, alpha, d, seed):
                 value = centers.weighted_radius_beta(w, p, params, math.inf)
             seconds = time.perf_counter() - start
     finally:
-        centers.CenterProblem._solve = inner
+        centers.CenterProblem.solve = inner
     caps = [m for m in (_CAP.search(str(e.message)) for e in log) if m]
     return {"value": float(value), "solves": solves, "capped": bool(caps),
             "gap": float(caps[0].group(1)) if caps else None, "seconds": seconds}
