@@ -13,6 +13,7 @@ non-convergence, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -201,7 +202,9 @@ def _cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first `main` call and kept."""
     parser = argparse.ArgumentParser(
         prog="renyicq",
         description="Quantum Renyi divergence centers and coding exponents for cq channels",

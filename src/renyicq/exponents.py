@@ -2,14 +2,18 @@
 
 All rates and exponents are in nats.  The one-dimensional suprema over the
 order parameter run on a grid, refined by scipy's bounded Brent search
-between the neighbours of the grid argmax (`_refined_grid_max`), the method
-the scalar oracle uses too; the alpha -> 1 and alpha -> infinity endpoints
-use their exact formulas (relative entropy and max-relative entropy).  An
-order whose center solve fails is dropped with a warning.  Below the Holevo
-quantity the strong converse exponent is exactly 0, since chi*_alpha >=
-chi_1 for alpha > 1.  Above it, g(u) = u (R - chi*_{1/(1-u)}) is concave in
-u = 1 - 1/alpha, so the alpha -> infinity endpoint is solved only while
-the grid argmax is the last order.  Every radius comes from a `RadiusCache`,
+between the neighbours of the grid argmax (`_refine_at`, one step for every
+supremum), the method the scalar oracle uses too; the alpha -> 1 and
+alpha -> infinity endpoints use their exact formulas (relative entropy and
+max-relative entropy).  An order whose center solve fails is dropped with a
+warning.  Below the Holevo quantity the strong converse exponent is exactly
+0, since chi*_alpha >= chi_1 for alpha > 1.  Above it, g(u) = u (R -
+chi*_{1/(1-u)}) is concave in u = 1 - 1/alpha, so its grid argmax is found
+by a bisection on the sign of the discrete slope (`_concave_argmax`), which
+solves at most 12 of the 40 grid orders per rate, and the alpha -> infinity endpoint
+is solved only while the grid argmax is the last order.  The sphere-packing
+and random-coding suprema, with no such concavity, evaluate their whole
+grid (`_refined_grid_max`).  Every radius comes from a `RadiusCache`,
 which holds one ``centers.CenterProblem``: (W, P) is compressed to the
 support of W(P) once for all orders and for the endpoint, and the Holevo
 quantity is computed once per cache.
@@ -161,17 +165,48 @@ def _cache_for(w, p, rule, cache):
     return cache
 
 
-def _refined_grid_max(f, grid, values):
-    """Argmax of ``values`` on ``grid``, refined by scipy's bounded Brent search
-    of f between its grid neighbours; returns (grid index, best point, best
-    value).  The grid point is kept unless Brent's point beats it."""
-    j = int(np.argmax(values))
+def _refine_at(f, grid, j, fj):
+    """The better of grid point j, where f is fj, and scipy's bounded Brent
+    search of f between its grid neighbours: returns (point, value).  The
+    one refinement step of every supremum over the order."""
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
                           options={"xatol": _REFINE_XATOL})
-    if -res.fun > values[j]:
-        return j, float(res.x), -float(res.fun)
-    return j, grid[j], values[j]
+    if -res.fun > fj:
+        return float(res.x), -float(res.fun)
+    return grid[j], fj
+
+
+def _refined_grid_max(f, grid, values):
+    """Argmax of ``values`` on ``grid``, refined by `_refine_at`; returns
+    (grid index, best point, best value)."""
+    j = int(np.argmax(values))
+    return (j, *_refine_at(f, grid, j, values[j]))
+
+
+def _concave_argmax(points, value, lo=0):
+    """Index of the first maximum of ``value`` over ``points`` at or after
+    ``lo``, for a value concave along the points and finite at points[lo].
+
+    A bisection on the sign of value(points[i + 1]) - value(points[i]), so
+    it reads at most 2 ceil(log2(len(points) - lo)) values while none is
+    -inf; ``value`` should memoize.  A point whose value is -inf (a failed
+    order) is removed from ``points`` in place and the bisection goes on
+    over the rest.
+    """
+    hi = len(points) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        left, right = value(points[mid]), value(points[mid + 1])
+        if left == -math.inf or right == -math.inf:
+            live = [a for a in points[mid:mid + 2] if value(a) > -math.inf]
+            hi -= 2 - len(live)
+            points[mid:mid + 2] = live
+        elif right > left:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _order_value(cache, alpha, weight, rate):
@@ -190,41 +225,53 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
 
     Exactly 0, with no solve, for R at or below the Holevo quantity.  The
     orders alpha in (1, DEFAULT_ALPHA_MAX] form a geometric grid of
-    DEFAULT_GRID_POINTS in alpha - 1, less the orders whose solve fails.
-    The objective is concave in u = 1 - 1/alpha, so only a last-order grid
-    argmax can lose to the alpha -> inf endpoint R - chi_inf: only then is
-    it solved, and the last order doubles, up to 1024, while it stays the
-    argmax.  An endpoint at least that order's value is the supremum, with
-    no refinement.  Returns (value, argmax_alpha); argmax_alpha is 1.0 when
-    the supremum clamps to zero and inf when the endpoint dominates.
+    DEFAULT_GRID_POINTS in alpha - 1, after alpha = 1 (u = 0, g = 0).  The
+    objective g is concave in u = 1 - 1/alpha, so the first grid argmax is
+    found by bisecting the grid indices on the sign of g(i+1) - g(i): an
+    order is solved only when the bisection first reads it, at most 12 per
+    rate while every solve converges, and orders the cache already holds
+    cost nothing.  An order whose solve fails is dropped from the grid and
+    the bisection goes on over the rest.  Only a last-order grid argmax can
+    lose to the alpha -> inf endpoint R - chi_inf: only then is it solved,
+    and the last order doubles, up to 1024, while it stays the argmax.  An
+    endpoint at least that order's value is the supremum, with no
+    refinement; otherwise the grid argmax is refined between its grid
+    neighbours.  Returns (value, argmax_alpha); argmax_alpha is 1.0 when the
+    supremum clamps to zero and inf when the endpoint dominates.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     cache = _cache_for(w, p, "sandwiched", cache)
     if rate <= cache.holevo():
         return 0.0, 1.0
-    us, gs = [0.0], [0.0]
+    values = {1.0: 0.0}  # alpha = 1 is u = 0, where g = 0
+
+    def g(alpha):
+        if alpha not in values:
+            values[alpha] = _order_value(cache, alpha, 1.0 - 1.0 / alpha, rate)
+        return values[alpha]
+
     g_inf = -math.inf  # unsolved while concavity rules the endpoint out
-    alphas = (1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)).tolist()
-    while alphas:
-        alpha = alphas.pop(0)
-        g = _order_value(cache, alpha, 1.0 - 1.0 / alpha, rate)
-        if g > -math.inf:
-            us.append((alpha - 1.0) / alpha)
-            gs.append(g)
-        if not alphas and alpha < _ALPHA_TAIL_MAX and int(np.argmax(gs)) == len(gs) - 1:
-            # chi_inf warm-starts from the largest solved order (cached after
-            # the first call): the alpha = 64 center is a far better start.
-            g_inf = rate - cache.chi_inf()
-            alphas.append(2.0 * alpha)
-    if len(us) == 1:
+    grid = 1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)
+    alphas = [1.0, *grid.tolist()]
+    tail = alphas[-1]
+    j = _concave_argmax(alphas, g)
+    while j == len(alphas) - 1 and tail < _ALPHA_TAIL_MAX:
+        # chi_inf warm-starts from the largest solved order (cached after
+        # the first call): the alpha = 64 center is a far better start.
+        g_inf = rate - cache.chi_inf()
+        tail *= 2.0
+        alphas.append(tail)
+        j = _concave_argmax(alphas, g, lo=j)
+    if len(alphas) == 1:
         raise NonConvergenceError("no sandwiched radius evaluation converged")
 
-    if int(np.argmax(gs)) == len(gs) - 1 and g_inf >= gs[-1]:
+    if j == len(alphas) - 1 and g_inf >= values[alphas[j]]:
         value, argmax = g_inf, math.inf
     else:
-        _, u_star, value = _refined_grid_max(
-            lambda u: _order_value(cache, 1.0 / (1.0 - u), u, rate), us, gs)
+        u_star, value = _refine_at(
+            lambda u: _order_value(cache, 1.0 / (1.0 - u), u, rate),
+            [(a - 1.0) / a for a in alphas], j, values[alphas[j]])
         argmax = 1.0 / (1.0 - u_star)
     if value <= 0.0:
         return 0.0, 1.0

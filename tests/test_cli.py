@@ -197,6 +197,15 @@ class TestInputsAndErrors:
     def test_missing_input_exit_2(self):
         assert cli.main(["center", "--alpha", "2"]) == 2
 
+    def test_parser_is_built_once_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["center", "--preset", "noiseless:2", "--alpha", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestRendering:
     def test_determinism(self, tmp_path):

@@ -39,6 +39,19 @@ from renyicq.exponents import (
 from renyicq.operators import DensityOperator
 
 LN2 = math.log(2.0)
+# The strong converse exponent's order grid.
+GRID = (1.0 + np.geomspace(1e-3, 63.0, 40)).tolist()
+
+
+def _grid_value(cache, rate, alpha):
+    """(1 - 1/alpha)(R - chi_alpha), 0 at alpha = 1."""
+    return 0.0 if alpha == 1.0 else (1.0 - 1.0 / alpha) * (rate - cache.chi(alpha))
+
+
+def _grid_argmax(cache, rate, alphas):
+    """First order of (1, *alphas) with the largest `_grid_value`."""
+    orders = (1.0, *alphas)
+    return orders[int(np.argmax([_grid_value(cache, rate, a) for a in orders]))]
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +153,10 @@ class TestScExponent:
     def test_partial_drop_warns_and_succeeds(self, noiseless2):
         from renyicq.exceptions import NonConvergenceError
 
+        # The concave search reads only the orders on its path; its first
+        # probe is the grid order at position 20 of (u = 0, 40 grid orders).
         w, p, real = noiseless2
-        dropped = 1.0 + np.geomspace(1e-3, 63.0, 40)[7]
+        dropped = GRID[19]
 
         class Flaky:
             w, p, rule = real.w, real.p, real.rule
@@ -162,6 +177,66 @@ class TestScExponent:
             value, _ = sc_exponent(w, p, 2.0 * LN2, cache=Flaky())
         assert any("dropping alpha" in str(entry.message) for entry in log)
         assert value == pytest.approx(LN2, abs=1e-6)
+
+    def test_drop_on_the_search_path_matches_the_exhaustive_argmax(self, random_channel):
+        # Dropping the grid argmax leaves a concave sequence of 39 orders;
+        # the search must find that sequence's first argmax.
+        from renyicq.exceptions import NonConvergenceError
+
+        w, p, _ = random_channel
+        rate = 1.5 * holevo_quantity(w, p)[0]
+        first = RadiusCache(w, p)
+        sc_exponent(w, p, rate, cache=first)
+        dropped = _grid_argmax(first, rate, [a for a in GRID if a in first._results])
+        assert dropped != 1.0
+
+        real, read = RadiusCache(w, p), set()
+
+        class Flaky:
+            w, p, rule = real.w, real.p, real.rule
+
+            def chi(self, alpha):
+                read.add(alpha)
+                if alpha == dropped:
+                    raise NonConvergenceError("stub")
+                return real.chi(alpha)
+
+            def chi_inf(self):
+                return real.chi_inf()
+
+            def holevo(self):
+                return real.holevo()
+
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            value, _ = sc_exponent(w, p, rate, cache=Flaky())
+        assert any("dropping alpha" in str(entry.message) for entry in log)
+        rest = [a for a in GRID if a != dropped]
+        full = RadiusCache(w, p)
+        exhaustive = _grid_argmax(full, rate, rest)
+        assert _grid_argmax(real, rate, [a for a in rest if a in read]) == exhaustive
+        assert value >= _grid_value(full, rate, exhaustive) - 1e-12
+
+    @pytest.mark.parametrize("d,k,seed", [(2, 2, 3), (2, 3, 11), (3, 2, 5),
+                                          (3, 3, 1), (4, 3, 2), (4, 4, 7)])
+    def test_lazy_search_matches_the_full_grid(self, d, k, seed):
+        w, p = random_cq_channel(d, k, np.random.default_rng(seed))
+        full = RadiusCache(w, p)
+        hol = full.holevo()
+        for rate in np.linspace(hol, math.log(d) + 0.1, 5)[1:]:
+            rate = float(rate)
+            best = _grid_argmax(full, rate, GRID)
+            lazy = RadiusCache(w, p)
+            value, _ = sc_exponent(w, p, rate, cache=lazy)
+            assert value >= _grid_value(full, rate, best) - 1e-12
+            visited = [a for a in GRID if a in lazy._results]
+            assert _grid_argmax(lazy, rate, visited) == best
+
+    def test_one_rate_solves_at_most_twelve_grid_orders(self):
+        w, p = parse_preset("random:4:4:7")
+        cache = RadiusCache(w, p)
+        sc_exponent(w, p, 1.2 * cache.holevo(), cache=cache)
+        assert 0 < len([a for a in GRID if a in cache._results]) <= 12
 
     def test_classical_consistency_small(self):
         rng = np.random.default_rng(7)

@@ -15,7 +15,10 @@ one record per preset: the sandwiched center solves (``solves``, counted at
 and their fixed-point sweeps (``sweeps``), the alpha -> inf endpoint solves
 (``chi_inf_solves``, 0 or 1 per cache), the wall time, and each rate's
 (value, argmax).  ``diff`` prints both files' totals, the largest absolute
-value change and the number of changed argmaxes, overall and per preset.
+value change, the number of changed argmaxes and the largest argmax move
+|du| in u = 1 - 1/alpha over the rates whose two argmaxes are finite,
+overall and per preset.  Most changed argmaxes are Brent moves at the level
+of its ``xatol`` (1e-7 in u); |du| tells them from a move of grid point.
 """
 
 from __future__ import annotations
@@ -84,16 +87,18 @@ def diff(old_path, new_path):
         totals = [sum(r[f] for r in recs.values())
                   for f in ("solves", "sweeps", "chi_inf_solves")]
         print(f"{name}: {totals[0]} solves, {totals[1]} sweeps, {totals[2]} chi_inf solves")
-    worst, moved = 0.0, 0
+    worst, moved, shift = 0.0, 0, 0.0
     for k in old:
         a, b = old[k], new[k]
         w = max(abs(x - y) for x, y in zip(a["values"], b["values"]))
         m = sum(x != y for x, y in zip(a["argmax"], b["argmax"]))
-        worst, moved = max(worst, w), moved + m
+        du = max((abs(1.0 / x - 1.0 / y) for x, y in zip(a["argmax"], b["argmax"])
+                  if math.isfinite(x) and math.isfinite(y)), default=0.0)
+        worst, moved, shift = max(worst, w), moved + m, max(shift, du)
         print(f"  {k}: solves {a['solves']} -> {b['solves']}, sweeps {a['sweeps']} -> "
               f"{b['sweeps']}, chi_inf {a['chi_inf_solves']} -> {b['chi_inf_solves']}, "
-              f"largest value change {w:.3g}, {m} argmaxes changed")
-    print(f"largest value change {worst:.3g}, {moved} argmaxes changed")
+              f"largest value change {w:.3g}, {m} argmaxes changed, largest |du| {du:.3g}")
+    print(f"largest value change {worst:.3g}, {moved} argmaxes changed, largest |du| {shift:.3g}")
 
 
 def main(argv=None):
