@@ -256,6 +256,8 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     alphas = [1.0, *grid.tolist()]
     tail = alphas[-1]
     j = _concave_argmax(alphas, g)
+    if len(alphas) == 1:
+        raise NonConvergenceError("no sandwiched radius evaluation converged")
     while j == len(alphas) - 1 and tail < _ALPHA_TAIL_MAX:
         # chi_inf warm-starts from the largest solved order (cached after
         # the first call): the alpha = 64 center is a far better start.
@@ -263,8 +265,6 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
         tail *= 2.0
         alphas.append(tail)
         j = _concave_argmax(alphas, g, lo=j)
-    if len(alphas) == 1:
-        raise NonConvergenceError("no sandwiched radius evaluation converged")
 
     if j == len(alphas) - 1 and g_inf >= values[alphas[j]]:
         value, argmax = g_inf, math.inf

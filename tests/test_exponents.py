@@ -23,6 +23,7 @@ from renyicq.channels import (
 from renyicq.classical import ClassicalChannel, classical_divergence
 from renyicq.divergences import RenyiParams, d_max, umegaki
 from renyicq.exponents import (
+    DEFAULT_ALPHA_MAX,
     RadiusCache,
     _refined_grid_max,
     clipped_trace,
@@ -136,19 +137,29 @@ class TestScExponent:
         class Dead:
             w, p, rule = real.w, real.p, real.rule
 
+            def __init__(self):
+                self.read, self.chi_inf_calls = [], 0
+
             def chi(self, alpha):
+                self.read.append(alpha)
                 raise NonConvergenceError("stub")
 
             def chi_inf(self):
-                raise NonConvergenceError("stub")
+                self.chi_inf_calls += 1
+                return 0.0
 
             def holevo(self):
                 return real.holevo()
 
-        with pytest.raises(NonConvergenceError):
+        # With no grid order left, the search raises before the tail: no
+        # chi_inf solve and no order above the grid's last.
+        dead = Dead()
+        with pytest.raises(NonConvergenceError, match="no sandwiched radius evaluation converged"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sc_exponent(w, p, 1.0, cache=Dead())
+                sc_exponent(w, p, 1.0, cache=dead)
+        assert dead.chi_inf_calls == 0
+        assert dead.read and max(dead.read) <= DEFAULT_ALPHA_MAX
 
     def test_partial_drop_warns_and_succeeds(self, noiseless2):
         from renyicq.exceptions import NonConvergenceError
