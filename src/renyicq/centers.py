@@ -89,6 +89,7 @@ _ANDERSON_DEPTH = 6
 _PD_RTOL = 1e-12
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -350,6 +351,8 @@ def _full_space_map(kind, w, p, params, sigma, op):
     if kind != "T" and np.isneginf(logq).any():
         sym = symbols[int(np.argmax(np.isneginf(logq)))]
         raise SingularInputError(f"Q vanished for supported symbol {sym!r}")
+    if kind == "T" and logsumexp(logq, b=probs) > _LOG_HUGE:
+        raise ValueError(f"the Tsallis map at alpha={a:g} overflows double precision")
     return _assemble(kind, ghat, logq, probs)
 
 
@@ -556,7 +559,8 @@ def closed_form_center_z1(w: GcqChannel, p: InputDistribution, alpha: float) -> 
     omega = support_power(HermitianOperator(acc), 1.0 / alpha)
     tr = omega.trace()
     center = DensityOperator(omega.mat / tr)
-    value = params.s * tr ** alpha
+    with np.errstate(over="ignore"):
+        value = math.copysign(float(np.exp(alpha * math.log(tr))), alpha - 1.0)
     residual = trace_norm(fixed_point_map_Qbar(w, p, params, center).mat - center.mat)
     return CenterResult(center, value, 0, residual, True, CLOSED_FORM_Z1)
 

@@ -1,22 +1,20 @@
 """Operational exponent curves built on the weighted-center solvers.
 
-All rates and exponents are in nats.  The one-dimensional suprema over the
-order parameter run on a grid, refined by scipy's bounded Brent search
-between the neighbours of the grid argmax (`_refine_at`, one step for every
-supremum), the method the scalar oracle uses too; the alpha -> 1 and
-alpha -> infinity endpoints use their exact formulas (relative entropy and
-max-relative entropy).  An order whose center solve fails is dropped with a
-warning.  Below the Holevo quantity the strong converse exponent is exactly
-0, since chi*_alpha >= chi_1 for alpha > 1.  Above it, g(u) = u (R -
-chi*_{1/(1-u)}) is concave in u = 1 - 1/alpha, so its grid argmax is found
-by a bisection on the sign of the discrete slope (`_concave_argmax`), which
-solves at most 12 of the 40 grid orders per rate, and the alpha -> infinity endpoint
-is solved only while the grid argmax is the last order.  The sphere-packing
-and random-coding suprema, with no such concavity, evaluate their whole
-grid (`_refined_grid_max`).  Every radius comes from a `RadiusCache`,
-which holds one ``centers.CenterProblem``: (W, P) is compressed to the
-support of W(P) once for all orders and for the endpoint, and the Holevo
-quantity is computed once per cache.
+All rates and exponents are in nats.  The three suprema over the order
+(the strong converse exponent, the sphere-packing bound and the
+random-coding exponent) are each of a function concave in its order
+variable, so one search serves all three: a bisection on the sign of the
+discrete slope finds the argmax on an order grid (`_concave_argmax`, at
+most 12 of the 40 or 41 grid orders), and scipy's bounded Brent search
+between its grid neighbours refines it (`_refine_at`), the method the
+scalar oracle uses too.  An order whose center solve fails is dropped with
+a warning.  Each supremum is exactly 0, with no solve, where its bracket
+cannot be positive: at rates up to the Holevo quantity chi_1 for the strong
+converse exponent, from chi_1 on for the other two.  Its alpha -> infinity
+endpoint is solved only while the grid argmax is the last order.  Every
+radius comes from a `RadiusCache`, which holds one
+``centers.CenterProblem``: (W, P) is compressed to the support of W(P) once
+for all orders and for the endpoint, and chi_1 is computed once per cache.
 
 The alpha -> infinity endpoint of the strong converse exponent is the
 weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
@@ -29,6 +27,7 @@ on chi_inf.  The cache only picks its start and keeps the result.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,10 +36,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .centers import CenterProblem, holevo_quantity, weighted_divergence
-from .channels import GcqChannel, InputDistribution, TypeClass, average_output
+from .channels import GcqChannel, InputDistribution, TypeClass
 from .divergences import RenyiParams, q_alpha_z
 from .exceptions import NonConvergenceError
-from .operators import DensityOperator, herm, support_projection
+from .operators import herm, support_projection
 
 DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
@@ -177,22 +176,16 @@ def _refine_at(f, grid, j, fj):
     return grid[j], fj
 
 
-def _refined_grid_max(f, grid, values):
-    """Argmax of ``values`` on ``grid``, refined by `_refine_at`; returns
-    (grid index, best point, best value)."""
-    j = int(np.argmax(values))
-    return (j, *_refine_at(f, grid, j, values[j]))
-
-
 def _concave_argmax(points, value, lo=0):
     """Index of the first maximum of ``value`` over ``points`` at or after
-    ``lo``, for a value concave along the points and finite at points[lo].
+    ``lo``, for a value concave along the points.
 
     A bisection on the sign of value(points[i + 1]) - value(points[i]), so
     it reads at most 2 ceil(log2(len(points) - lo)) values while none is
     -inf; ``value`` should memoize.  A point whose value is -inf (a failed
     order) is removed from ``points`` in place and the bisection goes on
-    over the rest.
+    over the rest.  When no value at or after ``lo`` is finite, the index
+    returned is len(points) or holds -inf.
     """
     hi = len(points) - 1
     while lo < hi:
@@ -244,12 +237,10 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     cache = _cache_for(w, p, "sandwiched", cache)
     if rate <= cache.holevo():
         return 0.0, 1.0
-    values = {1.0: 0.0}  # alpha = 1 is u = 0, where g = 0
 
-    def g(alpha):
-        if alpha not in values:
-            values[alpha] = _order_value(cache, alpha, 1.0 - 1.0 / alpha, rate)
-        return values[alpha]
+    @functools.cache
+    def g(alpha):  # alpha = 1 is u = 0, where g = 0
+        return 0.0 if alpha == 1.0 else _order_value(cache, alpha, 1.0 - 1.0 / alpha, rate)
 
     g_inf = -math.inf  # unsolved while concavity rules the endpoint out
     grid = 1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)
@@ -266,12 +257,12 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
         alphas.append(tail)
         j = _concave_argmax(alphas, g, lo=j)
 
-    if j == len(alphas) - 1 and g_inf >= values[alphas[j]]:
+    if j == len(alphas) - 1 and g_inf >= g(alphas[j]):
         value, argmax = g_inf, math.inf
     else:
         u_star, value = _refine_at(
             lambda u: _order_value(cache, 1.0 / (1.0 - u), u, rate),
-            [(a - 1.0) / a for a in alphas], j, values[alphas[j]])
+            [(a - 1.0) / a for a in alphas], j, g(alphas[j]))
         argmax = 1.0 / (1.0 - u_star)
     if value <= 0.0:
         return 0.0, 1.0
@@ -304,40 +295,49 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
                          cache: RadiusCache | None = None) -> float:
     """sup_{0<alpha<1} ((alpha-1)/alpha)(R - chi_{alpha,1}), clamped at 0.
 
-    The supremum may diverge as alpha -> 0; the grid is floored at
-    SP_ALPHA_MIN and a warning is emitted when the argmax sits there.
+    Exactly 0, with no solve, for R >= chi_1, since chi_{alpha,1} <= chi_1.
+    The bracket is E_0(s) - s R, with E_0(s) = s chi_{1/(1+s),1} concave in
+    s = 1/alpha - 1.  The supremum may diverge as alpha -> 0; the grid is
+    floored at SP_ALPHA_MIN and a warning is emitted when the argmax sits there.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     cache = _cache_for(w, p, "petz", cache)
+    if rate >= cache.holevo():
+        return 0.0
 
+    @functools.cache
     def g(alpha):
         return _order_value(cache, alpha, (alpha - 1.0) / alpha, rate)
 
-    grid = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, DEFAULT_GRID_POINTS)
-    gs = [g(a) for a in grid]
-    if not np.isfinite(gs).any():
+    alphas = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, DEFAULT_GRID_POINTS).tolist()
+    j = _concave_argmax(alphas, g)
+    if j == len(alphas) or g(alphas[j]) == -math.inf:
         raise NonConvergenceError("no Petz radius evaluation converged")
-    j, _, g_star = _refined_grid_max(g, grid, gs)
     if j == 0:
         warnings.warn(
             "sphere-packing supremum attained at the alpha grid floor; "
             "the true supremum may be +inf"
         )
-    return max(0.0, float(g_star))
+    return max(0.0, _refine_at(g, alphas, j, g(alphas[j]))[1])
 
 
 def _petz_divergence_alpha0(rho, sigma) -> float:
-    """alpha -> 0 limit of the Petz divergence: -log Tr rho^0 sigma."""
+    """alpha -> 0 limit of the Petz divergence: -log Tr rho^0 sigma + log Tr rho."""
     overlap = float(np.trace(support_projection(herm(rho)).mat @ herm(sigma).mat).real)
     if overlap <= 0.0:
         return math.inf
-    return -math.log(overlap)
+    return math.log(herm(rho).trace()) - math.log(overlap)
 
 
 def _random_coding_sup(w, p, rate, penalty):
-    avg = DensityOperator(average_output(w, p).mat)
+    """The random-coding supremum, clamped at 0.  Its bracket is concave in alpha (log
+    Tr W(x)^alpha W(P)^(1-alpha) is convex) and <= 0 for R + penalty >= chi_1."""
+    hol, avg = holevo_quantity(w, p)
+    if rate + penalty >= hol:
+        return 0.0
 
+    @functools.cache
     def g(alpha):
         if alpha == 0.0:
             div = sum(prob * _petz_divergence_alpha0(w.output(sym), avg)
@@ -346,9 +346,9 @@ def _random_coding_sup(w, p, rate, penalty):
             div = weighted_divergence(w, p, RenyiParams.petz(alpha), avg)
         return (alpha - 1.0) * (rate - div + penalty)
 
-    grid = np.linspace(0.0, 1.0, 41)
-    _, _, g_star = _refined_grid_max(g, grid, [g(a) for a in grid])
-    return max(0.0, float(g_star))
+    alphas = np.linspace(0.0, 1.0, 41).tolist()
+    j = _concave_argmax(alphas, g)
+    return max(0.0, _refine_at(g, alphas, j, g(alphas[j]))[1])
 
 
 def random_coding_exponent(w: GcqChannel, p: InputDistribution, rate: float) -> float:

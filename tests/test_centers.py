@@ -261,6 +261,16 @@ class TestClosedFormZ1:
         res = closed_form_center_z1(w, p, 2.0)
         assert res.residual < 1e-10
 
+    @pytest.mark.parametrize("alpha", [600.0, 1024.0])
+    def test_overflowing_value_is_inf_as_in_the_qbar_solve(self, alpha):
+        # (Tr omega)^alpha = 4^(alpha - 1) lies past the largest double.
+        w, p = parse_preset("noiseless:4")
+        res = closed_form_center_z1(w, p, alpha)
+        solved = solve_center_Qbar(w, p, RenyiParams.petz(alpha))
+        assert solved.converged and solved.value == math.inf
+        assert res.value == math.inf
+        assert np.abs(res.center.mat - np.eye(4) / 4).max() < 1e-12
+
 
 class TestSolveCenterQbar:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
@@ -394,6 +404,16 @@ class TestSolveCenterTsallis:
         defect = trace_norm(fixed_point_map_tsallis(w, p, params, ts.center).mat
                             - ts.center.mat)
         assert ts.residual == pytest.approx(defect, abs=1e-13)
+
+    def test_map_refuses_an_overflowing_order(self):
+        # At W(P) = I/4, sum_x P(x) Q_x = 4^(alpha - 1): finite at alpha = 64,
+        # past the largest double at 1024.
+        w, p = parse_preset("noiseless:4")
+        sigma = DensityOperator(average_output(w, p).mat)
+        out = fixed_point_map_tsallis(w, p, RenyiParams.sandwiched(64.0), sigma)
+        assert np.isfinite(out.mat).all()
+        with pytest.raises(ValueError, match="alpha=1024"):
+            fixed_point_map_tsallis(w, p, RenyiParams.sandwiched(1024.0), sigma)
 
     def test_map_is_unnormalized(self):
         w, p = noiseless_channel(2)

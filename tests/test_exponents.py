@@ -10,6 +10,7 @@ from renyicq.centers import (
     CenterProblem,
     CenterResult,
     holevo_quantity,
+    weighted_divergence,
 )
 from renyicq.channels import (
     GcqChannel,
@@ -24,8 +25,10 @@ from renyicq.classical import ClassicalChannel, classical_divergence
 from renyicq.divergences import RenyiParams, d_max, umegaki
 from renyicq.exponents import (
     DEFAULT_ALPHA_MAX,
+    SP_ALPHA_MIN,
     RadiusCache,
-    _refined_grid_max,
+    _petz_divergence_alpha0,
+    _refine_at,
     clipped_trace,
     convexity_probe,
     cutoff_rate,
@@ -40,8 +43,11 @@ from renyicq.exponents import (
 from renyicq.operators import DensityOperator
 
 LN2 = math.log(2.0)
-# The strong converse exponent's order grid.
+# The order grids of the strong converse exponent, the sphere-packing bound
+# and the random-coding exponent.
 GRID = (1.0 + np.geomspace(1e-3, 63.0, 40)).tolist()
+SP_GRID = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, 40).tolist()
+RC_GRID = np.linspace(0.0, 1.0, 41).tolist()
 
 
 def _grid_value(cache, rate, alpha):
@@ -339,15 +345,14 @@ class TestRadiusCache:
             sc_exponent(w, p, 0.69, cache=other)
 
 
-class TestRefinedGridMax:
+class TestRefineAt:
     GRID = np.linspace(0.0, 1.0, 11)
 
     def test_refines_an_interior_maximum(self):
         def f(x):
             return -(x - 0.337) ** 2
 
-        j, x, value = _refined_grid_max(f, self.GRID, [f(x) for x in self.GRID])
-        assert j == 3
+        x, value = _refine_at(f, self.GRID, 3, f(self.GRID[3]))
         assert abs(x - 0.337) <= 1e-7
         assert value > f(self.GRID[3])
 
@@ -355,8 +360,7 @@ class TestRefinedGridMax:
         def f(x):
             return -abs(x - self.GRID[3])
 
-        assert _refined_grid_max(f, self.GRID, [f(x) for x in self.GRID]) == (
-            3, self.GRID[3], 0.0)
+        assert _refine_at(f, self.GRID, 3, 0.0) == (self.GRID[3], 0.0)
 
 
 def _isometric_copy(w, v):
@@ -495,11 +499,35 @@ class TestCutoff:
             assert gaps.min() <= 2e-2
 
 
+def _sp_value(cache, rate, alpha):
+    """((alpha - 1)/alpha)(R - chi_{alpha,1})."""
+    return (alpha - 1.0) / alpha * (rate - cache.chi(alpha))
+
+
+def _rc_value(w, p, rate, alpha):
+    """(alpha - 1)(R - sum_x P(x) D_{alpha,1}(W(x)||W(P)))."""
+    avg = DensityOperator(average_output(w, p).mat)
+    if alpha == 0.0:
+        div = sum(prob * _petz_divergence_alpha0(w.output(s), avg) for s, prob in p.items())
+    else:
+        div = weighted_divergence(w, p, RenyiParams.petz(alpha), avg)
+    return (alpha - 1.0) * (rate - div)
+
+
+# (d, k, seed) of the random channels the sphere-packing and random-coding
+# order searches are checked on.
+SEARCHED = [(2, 3, 11), (3, 2, 5), (4, 3, 2)]
+
+
 class TestSpherePacking:
     def test_zero_above_holevo(self, random_channel):
+        # chi_{alpha,1} <= chi_1 for alpha < 1, so no order is solved there.
         w, p, _ = random_channel
         hol, _ = holevo_quantity(w, p)
-        assert sphere_packing_bound(w, p, hol * 1.05) == 0.0
+        cache = RadiusCache(w, p, "petz")
+        for rate in (hol, hol * 1.05):
+            assert sphere_packing_bound(w, p, rate, cache=cache) == 0.0
+        assert not cache._results
 
     def test_noiseless_low_rate_hits_grid_floor(self, noiseless2):
         w, p, _ = noiseless2
@@ -515,11 +543,13 @@ class TestSpherePacking:
     def test_partial_drop_warns_and_succeeds(self, random_channel):
         from renyicq.exceptions import NonConvergenceError
 
+        # The concave search reads only the orders on its path; its first
+        # probe is the grid order at position 19 of 40.
         w, p, _ = random_channel
         real = RadiusCache(w, p, "petz")
         rate = 0.85 * holevo_quantity(w, p)[0]
         want = sphere_packing_bound(w, p, rate, cache=real)
-        dropped = np.geomspace(1e-3, 1.0 - 1e-6, 40)[5]
+        dropped = SP_GRID[19]
 
         class Flaky:
             w, p, rule = real.w, real.p, real.rule
@@ -529,11 +559,55 @@ class TestSpherePacking:
                     raise NonConvergenceError("stub")
                 return real.chi(alpha)
 
+            def holevo(self):
+                return real.holevo()
+
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             value = sphere_packing_bound(w, p, rate, cache=Flaky())
         assert any("dropping alpha" in str(entry.message) for entry in log)
         assert value == pytest.approx(want, abs=1e-12)
+
+    def test_all_orders_dropped_raises(self, random_channel):
+        from renyicq.exceptions import NonConvergenceError
+
+        w, p, _ = random_channel
+        real = RadiusCache(w, p, "petz")
+
+        class Dead:
+            w, p, rule = real.w, real.p, real.rule
+
+            def chi(self, alpha):
+                raise NonConvergenceError("stub")
+
+            def holevo(self):
+                return real.holevo()
+
+        with pytest.raises(NonConvergenceError, match="no Petz radius evaluation converged"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sphere_packing_bound(w, p, 0.5 * real.holevo(), cache=Dead())
+
+    @pytest.mark.parametrize("d,k,seed", SEARCHED)
+    def test_lazy_search_matches_the_full_grid(self, d, k, seed):
+        w, p = random_cq_channel(d, k, np.random.default_rng(seed))
+        full = RadiusCache(w, p, "petz")
+        lazy = RadiusCache(w, p, "petz")
+        for i, rate in enumerate(np.linspace(0.4, 0.95, 4) * full.holevo()):
+            best = max(_sp_value(full, rate, a) for a in SP_GRID)
+            assert sphere_packing_bound(w, p, rate, cache=lazy) >= best - 1e-12
+            if i == 0:
+                assert len([a for a in SP_GRID if a in lazy._results]) <= 12
+
+    def test_petz_objective_is_convex_on_the_grid(self):
+        # f(u) = u chi_{1/(1-u),1} is convex in u = 1 - 1/alpha: E_0(s) =
+        # s chi_{1/(1+s),1} is concave in s = -u.  The search relies on it:
+        # the slopes of f between grid orders never fall.
+        u = np.array([1.0 - 1.0 / a for a in SP_GRID])
+        for d, k, seed in SEARCHED:
+            cache = RadiusCache(*random_cq_channel(d, k, np.random.default_rng(seed)), "petz")
+            slopes = np.diff(u * np.array([cache.chi(a) for a in SP_GRID])) / np.diff(u)
+            assert np.diff(slopes).min() >= 0.0
 
     def test_classical_consistency(self):
         rng = np.random.default_rng(11)
@@ -553,10 +627,45 @@ class TestRandomCoding:
             want = max(0.0, LN2 - rate)
             assert random_coding_exponent(w, p, rate) == pytest.approx(want, abs=1e-9)
 
-    def test_zero_above_mutual_information(self, random_channel):
+    def test_scaled_outputs_shift_the_rate(self):
+        # D_{alpha,1}(2 W(x) || W(P)) = log 2 + D_{alpha,1}(W(x) || W(P)) for
+        # every alpha, the alpha -> 0 limit included, where the supremum sits.
+        w, p = noiseless_channel(2)
+        scaled = GcqChannel({s: 2.0 * w.output(s).mat for s in w.alphabet})
+        for rate in (0.1, 0.4):
+            got = random_coding_exponent(scaled, p, rate + LN2)
+            assert got == pytest.approx(LN2 - rate, abs=1e-12)
+
+    def test_zero_above_mutual_information(self, random_channel, monkeypatch):
+        # D_{alpha,1} <= D_1 for alpha <= 1, so no divergence is evaluated there.
+        from renyicq import exponents
+
+        calls = []
+        monkeypatch.setattr(exponents, "weighted_divergence", lambda *args: calls.append(args))
         w, p, _ = random_channel
         hol, _ = holevo_quantity(w, p)
-        assert random_coding_exponent(w, p, hol * 1.05) == 0.0
+        for rate in (hol, hol * 1.05):
+            assert random_coding_exponent(w, p, rate) == 0.0
+        assert not calls
+
+    @pytest.mark.parametrize("d,k,seed", SEARCHED)
+    def test_lazy_search_matches_the_full_grid(self, d, k, seed, monkeypatch):
+        from renyicq import exponents
+
+        read = []
+
+        def recorded(w, p, params, sigma):
+            read.append(params.alpha)
+            return weighted_divergence(w, p, params, sigma)
+
+        monkeypatch.setattr(exponents, "weighted_divergence", recorded)
+        w, p = random_cq_channel(d, k, np.random.default_rng(seed))
+        for i, rate in enumerate(np.linspace(0.1, 0.95, 4) * holevo_quantity(w, p)[0]):
+            best = max(_rc_value(w, p, rate, a) for a in RC_GRID)
+            read.clear()
+            assert random_coding_exponent(w, p, rate) >= best - 1e-12
+            if i == 0:
+                assert len(set(read) & set(RC_GRID)) <= 12
 
     def test_finite_n_below_asymptotic(self, random_channel):
         w, p, _ = random_channel

@@ -21,7 +21,7 @@ def record():
 
 
 @pytest.mark.parametrize("name, count", [("robust", 765), ("small", 225), ("curves", 4),
-                                         ("radii", 88), ("verify", 24)])
+                                         ("bounds", 8), ("radii", 88), ("verify", 24)])
 def test_case_counts(record, name, count):
     keys = [tuple(case) for _, case in record.cases(name)]
     assert len(keys) == len(set(keys)) == count

@@ -7,6 +7,9 @@
 * ``curves`` (4, by preset): a 24-rate ``sc_curve`` from half the Holevo
   quantity to log d + 0.05 with one radius cache, also recording each rate's
   ``argmax`` and the ``chi_inf_solves``.
+* ``bounds`` (8, by kind): ``sphere_packing_bound`` and
+  ``random_coding_exponent`` at 24 rates from 0.3 to 1.1 times the Holevo
+  quantity on each ``curves`` preset, with one Petz radius cache per preset.
 * ``radii`` (88): ``divergence_radius`` (``grid``) and ``weighted_radius_beta``
   at beta = inf (``beta_inf``) on ``random_cq_channel(d, 3, default_rng(s))``.
 * ``verify`` (24): ``renyicq verify --seed s`` for s = 1..24, in process.
@@ -21,8 +24,8 @@ got another copy) and writes one record per case: ``set``, ``case`` (its key),
 ``group``, the ``solves`` and ``sweeps`` counted at ``CenterProblem.solve``,
 the wall ``seconds``, the ``value`` (or the ``error`` raised) and a ``flag``:
 null, or why the case did not finish cleanly (a solve unconverged or not by
-the fixed point, a radius ascent capped at 500 rounds, a non-zero verify
-exit).  Its last line is the set's totals, overall and per group, as JSON in
+the fixed point, a radius ascent capped at 500 rounds, a bound's warning, a
+non-zero verify exit).  Its last line is the set's totals, overall and per group, as JSON in
 the shape of a ``BENCH_<n>.json`` tools entry.  ``diff`` compares two records
 of one set; seconds are timings, never a changed value.
 """
@@ -70,6 +73,9 @@ def cases(name):
                 for preset in PRESETS for kind, rule, alpha in ORDERS[name]]
     if name == "curves":
         return [(preset, [preset]) for preset in CURVES]
+    if name == "bounds":
+        return [(kind, [preset, kind]) for preset in CURVES
+                for kind in ("sphere_packing", "random_coding")]
     if name == "radii":
         return [(group, [group, rule, alpha, d, seed])
                 for group, (rules, dims, seeds) in RADII.items()
@@ -94,6 +100,22 @@ def curve(preset):
     out = exponents.sc_curve(w, p, rates, cache=cache)
     return {"value": out.values.tolist(), "flag": None, "argmax": out.maximizing_alpha.tolist(),
             "chi_inf_solves": int(cache.chi_inf_center is not None)}
+
+
+def bound(preset, kind):
+    """One 24-rate sphere-packing or random-coding curve, flagged by the
+    first warning it raised (a dropped order, or the sphere-packing floor)."""
+    w, p = parse_preset(preset)
+    cache = exponents.RadiusCache(w, p, "petz")
+    rates = np.linspace(0.3, 1.1, 24) * cache.holevo()
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        if kind == "sphere_packing":
+            values = [exponents.sphere_packing_bound(w, p, r, cache=cache) for r in rates]
+        else:
+            values = [exponents.random_coding_exponent(w, p, r) for r in rates]
+    return {"value": [float(v) for v in values],
+            "flag": str(log[0].message) if log else None}
 
 
 def radius(group, rule, alpha, d, seed):
@@ -144,7 +166,8 @@ def measure(name, group, case):
     with counting() as tally:
         start = time.perf_counter()
         try:
-            outcome = {"curves": curve, "radii": radius, "verify": verify}.get(name, center)(*case)
+            outcome = {"curves": curve, "bounds": bound, "radii": radius,
+                        "verify": verify}.get(name, center)(*case)
         except Exception as exc:  # recorded, so a diff shows it
             error = f"{type(exc).__name__}: {exc}"
             outcome = {"error": error, "flag": f"raised {error}"}
@@ -240,7 +263,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     r = sub.add_parser("run", help="run one set and write its records")
-    r.add_argument("set", choices=(*ORDERS, "curves", "radii", "verify"))
+    r.add_argument("set", choices=(*ORDERS, "curves", "bounds", "radii", "verify"))
     r.add_argument("out")
     d = sub.add_parser("diff", help="compare two record files of one set")
     d.add_argument("old")
