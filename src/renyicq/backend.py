@@ -68,6 +68,23 @@ def center_sweep(sigma, wpows, z, spow):
     return (uv * f[:, None, :]) @ uv.conj().swapaxes(-1, -2), logq
 
 
+def alpha_slope(sigma, wpows, alpha):
+    """d log Q_x / d alpha of the sandwiched Q_x = Tr A_x^alpha for every
+    symbol, at fixed unit-trace sigma, with A_x = sigma^s W_x sigma^s and
+    s = (1 - alpha) / 2 alpha (``wpows`` holds the W_x): Tr ghat_x log A_x
+    - Tr ghat_x log sigma / alpha, ghat_x = A_x^alpha / Tr A_x^alpha.
+    """
+    a, log_scale = _sandwiches(sigma, wpows, (1.0 - alpha) / (2.0 * alpha))
+    u, uv = np.linalg.eigh(a)
+    f = _log_powers(u, alpha, log_scale)[0]
+    w, v = np.linalg.eigh(sigma)
+    on = w > max(float(w[-1]), 0.0) * EIG_CUTOFF
+    log_sigma = (v[:, on] * np.log(w[on])) @ v[:, on].conj().T
+    # <e_j| log sigma |e_j> over the eigenvectors e_j of each A_x
+    diag = np.einsum("xij,ik,xkj->xj", uv.conj(), log_sigma, uv).real
+    return (f * (np.log(np.where(f > 0.0, u, 1.0)) + log_scale - diag / alpha)).sum(axis=1)
+
+
 def q_sweep(sigma, wpows, z, spow):
     """log Tr (sigma^spow W_x^pow sigma^spow)^z for every symbol (values only)."""
     a, log_scale = _sandwiches(sigma, wpows, spow)

@@ -27,7 +27,6 @@ from .channels import InputDistribution, load_channel, parse_preset
 from .divergences import RenyiParams, d_alpha_z
 from .exceptions import ChannelFormatError, NonConvergenceError, ResourceLimitError
 from .exponents import ExponentCurve, RadiusCache
-from .verify import run_verify
 
 LN2 = math.log(2.0)
 
@@ -192,6 +191,7 @@ def _cmd_cutoff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify  # imported here: verify pulls in classical
     # The bare token "random" (the default) lets verify draw its own channels.
     token = args.preset or args.input or "random"
     channel = None if token == "random" else _resolve_channel(args)

@@ -1,28 +1,18 @@
 """Operational exponent curves built on the weighted-center solvers.
 
-All rates and exponents are in nats.  The three suprema over the order
-(the strong converse exponent, the sphere-packing bound and the
-random-coding exponent) are each of a function concave in its order
-variable, so one search serves all three: a bisection on the sign of the
-discrete slope finds the argmax on an order grid (`_concave_argmax`, at
-most 12 of the 40 or 41 grid orders), and scipy's bounded Brent search
-between its grid neighbours refines it (`_refine_at`), the method the
-scalar oracle uses too.  An order whose center solve fails is dropped with
-a warning.  Each supremum is exactly 0, with no solve, where its bracket
-cannot be positive: at rates up to the Holevo quantity chi_1 for the strong
-converse exponent, from chi_1 on for the other two.  Its alpha -> infinity
-endpoint is solved only while the grid argmax is the last order.  Every
-radius comes from a `RadiusCache`, which holds one
-``centers.CenterProblem``: (W, P) is compressed to the support of W(P) once
-for all orders and for the endpoint, and chi_1 is computed once per cache.
-
-The alpha -> infinity endpoint of the strong converse exponent is the
-weighted max-relative-entropy radius chi_inf = min_sigma sum_x P(x)
-D_max(W(x)||sigma), a convex problem.  The cache's problem solves it
-(``centers.CenterProblem.solve_dmax``: BFGS with exact gradients on a
-log-sum-exp smoothing whose temperature rises up to 5e10); the reported
-value is the unsmoothed objective at the final state, hence an upper bound
-on chi_inf.  The cache only picks its start and keeps the result.
+All rates and exponents are in nats.  Each supremum over the order is
+exactly 0, with no solve, where its bracket cannot be positive: at rates up
+to the Holevo quantity chi_1 for the strong converse exponent, from chi_1 on
+for the other two.  The strong converse exponent is the Legendre transform
+of the convex f(u) = u chi*_{1/(1-u)}, u = 1 - 1/alpha: `sc_exponent` runs
+a safeguarded secant on f'(u) = R over the samples its cache holds, shared
+by every rate, and stops on a bracket of the supremum.  The other two have
+no slope (at z = 1 it needs W_x^alpha log W_x per order): they bisect an
+order grid on the sign of the discrete slope (`_concave_argmax`) and refine
+by scipy's bounded Brent search (`_refine_at`), as the scalar oracle does.
+A failed order is dropped with a warning.  Every radius comes from a
+`RadiusCache`, whose ``centers.CenterProblem`` compresses (W, P) to supp
+W(P) once for all orders and for the alpha -> inf endpoint chi_inf.
 """
 
 from __future__ import annotations
@@ -35,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import backend
 from .centers import CenterProblem, holevo_quantity, weighted_divergence
 from .channels import GcqChannel, InputDistribution, TypeClass
 from .divergences import RenyiParams, q_alpha_z
@@ -45,10 +36,10 @@ DEFAULT_ALPHA_MAX = 64.0
 DEFAULT_GRID_POINTS = 40
 SP_ALPHA_MIN = 1e-3
 
-# Last order of the sc grid's doubling tail, the scalar oracle's last order,
+# Last order of the sc search's doubling tail, the scalar oracle's last order,
 # and the largest order solved: a sandwiched solve there can miss the 10000-sweep cap.
 _ALPHA_TAIL_MAX = 1024.0
-# Brent's absolute tolerance in the grid variable of every refinement.
+# Absolute tolerance in u of Brent's refinements and of the sc bracket.
 _REFINE_XATOL = 1e-7
 
 
@@ -87,11 +78,12 @@ class RadiusCache:
     outputs are compressed once for every order and for :meth:`chi_inf`, and
     the Holevo quantity, computed once (:meth:`holevo`).  ``rule`` picks z =
     alpha ("sandwiched") or z = 1 ("petz"); each order is solved from the
-    center of the nearest cached order.  The alpha -> infinity endpoint
-    (max-relative-entropy radius) is solved once by BFGS on a smoothing, see
-    :meth:`chi_inf`, and its minimizing state is kept in ``chi_inf_center``.
-    An order whose solve did not converge keeps its message and raises it
-    again without another solve.
+    center of the nearest cached order.  A converged sandwiched order also
+    keeps ``slopes[alpha]`` = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by
+    the envelope theorem, alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x)
+    (log Q_x - log Tr W_x) at its center (``backend.alpha_slope``).  An order
+    whose solve did not converge keeps its message and raises it again
+    without another solve.
     """
 
     def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched"):
@@ -103,6 +95,7 @@ class RadiusCache:
         self.problem = CenterProblem(w, p)
         self._results = {}
         self._failures = {}
+        self.slopes = {}
         self._holevo = None
         self._chi_inf = None
         self.chi_inf_center = None
@@ -127,6 +120,10 @@ class RadiusCache:
             self._failures[alpha] = str(exc)
             raise
         self._results[alpha] = res
+        if self.rule == "sandwiched":
+            pb = self.problem
+            dlogq = backend.alpha_slope(pb.compress(res.center.mat), pb.powers(1.0), alpha)
+            self.slopes[alpha] = float(pb.probs @ (alpha * dlogq - res.log_q + pb.log_traces))
         return res
 
     def chi(self, alpha: float) -> float:
@@ -139,16 +136,11 @@ class RadiusCache:
         return self._holevo
 
     def chi_inf(self) -> float:
-        """Weighted max-relative-entropy radius (the alpha -> inf endpoint)
-
-            chi_inf = min_sigma sum_x P(x) D_max(W(x) || sigma),
-
-        solved once by the cache's problem (``CenterProblem.solve_dmax``, BFGS
-        on a smoothing), warm-started from the center of the largest cached
-        order (else from W(P)).  The returned value is the exact objective at
-        the state kept in ``chi_inf_center``, so it is an upper bound on the
-        true radius, never above the objective at the start point.
-        """
+        """The alpha -> inf endpoint chi_inf = min_sigma sum_x P(x)
+        D_max(W(x)||sigma), solved once (``CenterProblem.solve_dmax``, BFGS on
+        a smoothing) from the center of the largest cached order, else W(P):
+        the exact objective at the state kept in ``chi_inf_center``, an upper
+        bound on the true radius, never above the objective at the start."""
         if self._chi_inf is None:
             start = self._results[max(self._results)].center.mat if self._results else None
             self._chi_inf, self.chi_inf_center = self.problem.solve_dmax(start)
@@ -167,7 +159,7 @@ def _cache_for(w, p, rule, cache):
 def _refine_at(f, grid, j, fj):
     """The better of grid point j, where f is fj, and scipy's bounded Brent
     search of f between its grid neighbours: returns (point, value).  The
-    one refinement step of every supremum over the order."""
+    refinement of the sphere-packing and random-coding suprema."""
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
                           options={"xatol": _REFINE_XATOL})
@@ -176,18 +168,15 @@ def _refine_at(f, grid, j, fj):
     return grid[j], fj
 
 
-def _concave_argmax(points, value, lo=0):
-    """Index of the first maximum of ``value`` over ``points`` at or after
-    ``lo``, for a value concave along the points.
-
-    A bisection on the sign of value(points[i + 1]) - value(points[i]), so
-    it reads at most 2 ceil(log2(len(points) - lo)) values while none is
-    -inf; ``value`` should memoize.  A point whose value is -inf (a failed
+def _concave_argmax(points, value):
+    """Index of the first maximum of ``value``, concave along ``points``: a
+    bisection on the sign of value(points[i + 1]) - value(points[i]), which
+    reads at most 2 ceil(log2(len(points))) values while none is -inf
+    (``value`` should memoize).  A point whose value is -inf (a failed
     order) is removed from ``points`` in place and the bisection goes on
-    over the rest.  When no value at or after ``lo`` is finite, the index
-    returned is len(points) or holds -inf.
-    """
-    hi = len(points) - 1
+    over the rest; when no value is finite, the index is len(points) or
+    holds -inf."""
+    lo, hi = 0, len(points) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         left, right = value(points[mid]), value(points[mid + 1])
@@ -212,60 +201,71 @@ def _order_value(cache, alpha, weight, rate):
         return -math.inf
 
 
+def _bracket(cache, rate, top):
+    """The samples (u, g, f') of the sc search at ``rate``, sorted by u: u = 0
+    (g = 0, f' = chi_1) and each order alpha <= top the cache holds with a
+    slope, at u = 1 - 1/alpha and g = u (R - chi_alpha); the last sample a
+    with f' < R; the first b with f' >= R; and where the tangents of the
+    concave g at a and b meet, an upper bound on sup g (inf while b is None)."""
+    pts = sorted([(1.0 - 1.0 / a, (1.0 - 1.0 / a) * (rate - cache.chi(a)), s)
+                  for a, s in cache.slopes.items() if a <= top] + [(0.0, 0.0, cache.holevo())])
+    ua, ga, da = a = [q for q in pts if q[2] < rate][-1]
+    b = next((q for q in pts if q[2] >= rate), None)
+    if b is None:
+        return pts, a, None, math.inf
+    ub, gb, db = b
+    cut = (gb - ga + (rate - da) * ua - (rate - db) * ub) / (db - da)
+    return pts, a, b, ga + (rate - da) * (cut - ua)
+
+
 def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
                 cache: RadiusCache | None = None):
     """Strong converse exponent sup_{alpha>1} (1-1/alpha)(R - chi*_alpha).
 
-    Exactly 0, with no solve, for R at or below the Holevo quantity.  The
-    orders alpha in (1, DEFAULT_ALPHA_MAX] form a geometric grid of
-    DEFAULT_GRID_POINTS in alpha - 1, after alpha = 1 (u = 0, g = 0).  The
-    objective g is concave in u = 1 - 1/alpha, so the first grid argmax is
-    found by bisecting the grid indices on the sign of g(i+1) - g(i): an
-    order is solved only when the bisection first reads it, at most 12 per
-    rate while every solve converges, and orders the cache already holds
-    cost nothing.  An order whose solve fails is dropped from the grid and
-    the bisection goes on over the rest.  Only a last-order grid argmax can
-    lose to the alpha -> inf endpoint R - chi_inf: only then is it solved,
-    and the last order doubles, up to 1024, while it stays the argmax.  An
-    endpoint at least that order's value is the supremum, with no
-    refinement; otherwise the grid argmax is refined between its grid
-    neighbours.  Returns (value, argmax_alpha); argmax_alpha is 1.0 when the
-    supremum clamps to zero and inf when the endpoint dominates.
+    Exactly 0, with no solve, for R at or below chi_1; else the supremum of
+    g(u) = uR - f(u) sits at f'(u) = R.  Each step solves the secant root of
+    f' = R through the two samples with slopes nearest R (halfway to the top
+    order while u = 0 is the only one), clamped inside the bracket (a, b),
+    until the `_bracket` bound is within 1e-13 max(1, |g|) of the best g or
+    b - a < _REFINE_XATOL.  Without b the probes stop at the top order,
+    DEFAULT_ALPHA_MAX, which doubles up to 1024 while f' < R there; past 64
+    the endpoint R - chi_inf is solved, the value if no sample beats it.  A
+    failed order is dropped with a warning and the probe moves halfway to a.
+    Returns (value, argmax_alpha), argmax_alpha 1.0 for a zero value and inf
+    when the endpoint dominates.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     cache = _cache_for(w, p, "sandwiched", cache)
     if rate <= cache.holevo():
         return 0.0, 1.0
-
-    @functools.cache
-    def g(alpha):  # alpha = 1 is u = 0, where g = 0
-        return 0.0 if alpha == 1.0 else _order_value(cache, alpha, 1.0 - 1.0 / alpha, rate)
-
-    g_inf = -math.inf  # unsolved while concavity rules the endpoint out
-    grid = 1.0 + np.geomspace(1e-3, DEFAULT_ALPHA_MAX - 1.0, DEFAULT_GRID_POINTS)
-    alphas = [1.0, *grid.tolist()]
-    tail = alphas[-1]
-    j = _concave_argmax(alphas, g)
-    if len(alphas) == 1:
-        raise NonConvergenceError("no sandwiched radius evaluation converged")
-    while j == len(alphas) - 1 and tail < _ALPHA_TAIL_MAX:
-        # chi_inf warm-starts from the largest solved order (cached after
-        # the first call): the alpha = 64 center is a far better start.
-        g_inf = rate - cache.chi_inf()
-        tail *= 2.0
-        alphas.append(tail)
-        j = _concave_argmax(alphas, g, lo=j)
-
-    if j == len(alphas) - 1 and g_inf >= g(alphas[j]):
-        value, argmax = g_inf, math.inf
-    else:
-        u_star, value = _refine_at(
-            lambda u: _order_value(cache, 1.0 / (1.0 - u), u, rate),
-            [(a - 1.0) / a for a in alphas], j, g(alphas[j]))
-        argmax = 1.0 / (1.0 - u_star)
-    if value <= 0.0:
-        return 0.0, 1.0
+    top, g_inf, failed = DEFAULT_ALPHA_MAX, -math.inf, set()
+    while True:
+        pts, a, b, upper = _bracket(cache, rate, top)
+        best = max(pts, key=lambda q: q[1])
+        if b is not None and (upper - best[1] <= 1e-13 * max(1.0, abs(best[1]))
+                              or b[0] - a[0] < _REFINE_XATOL):
+            break
+        hi = 1.0 - 1.0 / top if b is None else b[0] - 0.5 * _REFINE_XATOL
+        cand = 0.5 * (a[0] + hi)  # u = 0 alone: no secant yet
+        if len(pts) > 1:
+            (u1, _, d1), (u2, _, d2) = sorted(pts, key=lambda q: abs(q[2] - rate))[:2]
+            cand = u1 + (rate - d1) * (u2 - u1) / (d2 - d1) if d2 != d1 else math.inf
+        if not a[0] < cand < (math.inf if b is None else b[0]):
+            cand = hi if b is None else 0.5 * (a[0] + b[0])
+        cand = None if a[0] == hi else min(max(cand, a[0] + 0.5 * _REFINE_XATOL), hi)
+        while cand in failed:
+            cand = 0.5 * (a[0] + cand) if cand - a[0] >= 2.0 * _REFINE_XATOL else None
+        if cand is not None:
+            if _order_value(cache, 1.0 / (1.0 - cand), 1.0, rate) == -math.inf:
+                failed.add(cand)
+        elif b is not None or top >= _ALPHA_TAIL_MAX:
+            break
+        elif a[0] == 0.0:
+            raise NonConvergenceError("no sandwiched radius evaluation converged")
+        else:
+            g_inf, top = rate - cache.chi_inf(), 2.0 * top
+    value, argmax = max((g_inf, math.inf), (best[1], 1.0 / (1.0 - best[0])))
     return float(value), float(argmax)
 
 

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,19 @@ class TestInputsAndErrors:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert cli._build_parser.cache_info().misses == 1
+
+    def test_import_leaves_verify_and_classical_unloaded(self):
+        # A fresh process: importing the CLI must not compile the verify
+        # suite or the scalar oracle; the verify command loads them itself.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, renyicq.cli as c\n"
+                "print(sorted(m for m in ('renyicq.verify', 'renyicq.classical') if m in sys.modules))\n"
+                "print(c.main(['verify', '--seed', '42']))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out[0] == "[]"
+        assert out[-1] == "0"
 
 
 class TestRendering:

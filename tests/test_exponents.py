@@ -27,6 +27,7 @@ from renyicq.exponents import (
     DEFAULT_ALPHA_MAX,
     SP_ALPHA_MIN,
     RadiusCache,
+    _bracket,
     _petz_divergence_alpha0,
     _refine_at,
     clipped_trace,
@@ -40,7 +41,7 @@ from renyicq.exponents import (
     sc_exponent,
     sphere_packing_bound,
 )
-from renyicq.operators import DensityOperator
+from renyicq.operators import DensityOperator, HermitianOperator
 
 LN2 = math.log(2.0)
 # The order grids of the strong converse exponent, the sphere-packing bound
@@ -142,6 +143,7 @@ class TestScExponent:
 
         class Dead:
             w, p, rule = real.w, real.p, real.rule
+            slopes = {}
 
             def __init__(self):
                 self.read, self.chi_inf_calls = [], 0
@@ -170,16 +172,19 @@ class TestScExponent:
     def test_partial_drop_warns_and_succeeds(self, noiseless2):
         from renyicq.exceptions import NonConvergenceError
 
-        # The concave search reads only the orders on its path; its first
-        # probe is the grid order at position 20 of (u = 0, 40 grid orders).
-        w, p, real = noiseless2
-        dropped = GRID[19]
+        # f' = log 2 < R at every order, so the search probes the top order
+        # DEFAULT_ALPHA_MAX; dropping it, the search probes below it and still
+        # reaches the alpha -> inf endpoint, where the supremum is.
+        w, p, _ = noiseless2
+        real, read = RadiusCache(w, p), []
 
         class Flaky:
             w, p, rule = real.w, real.p, real.rule
+            slopes = real.slopes
 
             def chi(self, alpha):
-                if alpha == dropped:
+                read.append(alpha)
+                if alpha == DEFAULT_ALPHA_MAX:
                     raise NonConvergenceError("stub")
                 return real.chi(alpha)
 
@@ -192,25 +197,26 @@ class TestScExponent:
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             value, _ = sc_exponent(w, p, 2.0 * LN2, cache=Flaky())
+        assert DEFAULT_ALPHA_MAX in read
         assert any("dropping alpha" in str(entry.message) for entry in log)
         assert value == pytest.approx(LN2, abs=1e-6)
 
     def test_drop_on_the_search_path_matches_the_exhaustive_argmax(self, random_channel):
-        # Dropping the grid argmax leaves a concave sequence of 39 orders;
-        # the search must find that sequence's first argmax.
+        # Dropping the order a first search returns leaves the search to
+        # find the supremum from the other orders: it still beats every grid
+        # order.
         from renyicq.exceptions import NonConvergenceError
 
         w, p, _ = random_channel
         rate = 1.5 * holevo_quantity(w, p)[0]
-        first = RadiusCache(w, p)
-        sc_exponent(w, p, rate, cache=first)
-        dropped = _grid_argmax(first, rate, [a for a in GRID if a in first._results])
-        assert dropped != 1.0
+        _, dropped = sc_exponent(w, p, rate, cache=RadiusCache(w, p))
+        assert 1.0 < dropped < DEFAULT_ALPHA_MAX
 
         real, read = RadiusCache(w, p), set()
 
         class Flaky:
             w, p, rule = real.w, real.p, real.rule
+            slopes = real.slopes
 
             def chi(self, alpha):
                 read.add(alpha)
@@ -226,12 +232,11 @@ class TestScExponent:
 
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
-            value, _ = sc_exponent(w, p, rate, cache=Flaky())
+            value, argmax = sc_exponent(w, p, rate, cache=Flaky())
+        assert dropped in read and argmax != dropped
         assert any("dropping alpha" in str(entry.message) for entry in log)
-        rest = [a for a in GRID if a != dropped]
         full = RadiusCache(w, p)
-        exhaustive = _grid_argmax(full, rate, rest)
-        assert _grid_argmax(real, rate, [a for a in rest if a in read]) == exhaustive
+        exhaustive = _grid_argmax(full, rate, GRID)
         assert value >= _grid_value(full, rate, exhaustive) - 1e-12
 
     @pytest.mark.parametrize("d,k,seed", [(2, 2, 3), (2, 3, 11), (3, 2, 5),
@@ -243,17 +248,14 @@ class TestScExponent:
         for rate in np.linspace(hol, math.log(d) + 0.1, 5)[1:]:
             rate = float(rate)
             best = _grid_argmax(full, rate, GRID)
-            lazy = RadiusCache(w, p)
-            value, _ = sc_exponent(w, p, rate, cache=lazy)
+            value, _ = sc_exponent(w, p, rate, cache=RadiusCache(w, p))
             assert value >= _grid_value(full, rate, best) - 1e-12
-            visited = [a for a in GRID if a in lazy._results]
-            assert _grid_argmax(lazy, rate, visited) == best
 
-    def test_one_rate_solves_at_most_twelve_grid_orders(self):
+    def test_first_rate_solves_at_most_eight_orders(self):
         w, p = parse_preset("random:4:4:7")
         cache = RadiusCache(w, p)
         sc_exponent(w, p, 1.2 * cache.holevo(), cache=cache)
-        assert 0 < len([a for a in GRID if a in cache._results]) <= 12
+        assert 0 < len(cache._results) <= 8
 
     def test_classical_consistency_small(self):
         rng = np.random.default_rng(7)
@@ -264,6 +266,72 @@ class TestScExponent:
         for rate in np.linspace(0.7 * hol, 1.6 * hol, 4):
             mine, _ = sc_exponent(w, p, float(rate), cache=cache)
             assert mine == pytest.approx(oracle.sc_exponent(float(rate)), abs=1e-6)
+
+
+def _slope_channel(kind):
+    """A random cq channel, one whose outputs are scaled by 2 (gcq), or one
+    with rank-1 and rank-2 outputs on C^3."""
+    if kind == "rank_deficient":
+        rng = np.random.default_rng(4)
+        outs = {str(r): HermitianOperator(random_state_mat(rng, 3, rank=r)) for r in (1, 2, 3)}
+        return GcqChannel(outs), InputDistribution({"1": 0.3, "2": 0.3, "3": 0.4})
+    w, p = random_cq_channel(3, 3, np.random.default_rng(1))
+    if kind == "scaled":
+        w = GcqChannel({s: 2.0 * w.output(s).mat for s in w.alphabet})
+    return w, p
+
+
+class TestSlope:
+    @pytest.mark.parametrize("kind", ["random", "scaled", "rank_deficient"])
+    @pytest.mark.parametrize("alpha", [1.5, 4.0, 20.0])
+    def test_matches_central_differences(self, kind, alpha):
+        # f(u) = u chi_{1/(1-u)}; its slope comes off the solved center alone.
+        cache = RadiusCache(*_slope_channel(kind))
+        u, h = 1.0 - 1.0 / alpha, 1e-5
+        cache.chi(alpha)
+
+        def f(x):
+            return x * cache.chi(1.0 / (1.0 - x))
+
+        central = (f(u + h) - f(u - h)) / (2.0 * h)
+        assert cache.slopes[alpha] == pytest.approx(central, rel=1e-8)
+
+    def test_noiseless_slope_is_log_two(self):
+        # chi_alpha = log 2 at every order, so f(u) = u log 2.
+        cache = RadiusCache(*noiseless_channel(2))
+        for alpha in (1.5, 4.0, 64.0):
+            cache.chi(alpha)
+            assert cache.slopes[alpha] == pytest.approx(LN2, abs=1e-12)
+
+    def test_petz_orders_keep_no_slope(self, random_channel):
+        w, p, _ = random_channel
+        cache = RadiusCache(w, p, "petz")
+        cache.chi(0.5)
+        assert cache.slopes == {}
+
+
+class TestBracket:
+    @pytest.mark.parametrize("d,k,seed", [(2, 2, 3), (2, 3, 11), (3, 2, 5),
+                                          (3, 3, 1), (4, 3, 2), (2, 4, 9)])
+    def test_value_lies_in_the_tangent_bracket_above_the_grid(self, d, k, seed):
+        w, p = random_cq_channel(d, k, np.random.default_rng(seed))
+        cache, full = RadiusCache(w, p), RadiusCache(w, p)
+        for rate in np.linspace(cache.holevo(), math.log(d) + 0.1, 5)[1:]:
+            rate = float(rate)
+            value, argmax = sc_exponent(w, p, rate, cache=cache)
+            assert value >= _grid_value(full, rate, _grid_argmax(full, rate, GRID)) - 1e-12
+            _, _, b, upper = _bracket(cache, rate, math.inf)
+            if b is not None:
+                assert value <= upper + 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_diagonal_channels_match_the_scalar_oracle(self, seed):
+        w, p, rows, weights = diagonal_channel(np.random.default_rng(seed))
+        oracle = ClassicalChannel(rows, weights)
+        cache = RadiusCache(w, p)
+        for rate in np.linspace(1.05 * oracle.holevo(), math.log(3.0) + 0.1, 4):
+            value, _ = sc_exponent(w, p, float(rate), cache=cache)
+            assert value == pytest.approx(oracle.sc_exponent(float(rate)), abs=1e-9)
 
 
 class TestRadiusCache:

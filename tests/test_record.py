@@ -65,3 +65,15 @@ def test_diff_refuses_different_cases(record, tmp_path):
     with pytest.raises(SystemExit) as exc:
         record.diff(old, new)
     assert exc.value.code != 0 and "different cases" in str(exc.value.code)
+
+
+def test_diff_prints_the_largest_curve_gap_of_each_side(record, tmp_path, capsys):
+    case = ["random:2:3:7"]
+    rec = {"set": "curves", "case": case, "group": case[0], "solves": 3, "sweeps": 9,
+           "seconds": 0.01, "value": [0.0, 0.1, 0.2], "flag": None, "argmax": [1.0, 2.0, 3.0]}
+    old = _write(tmp_path / "old.json", [rec])
+    new = _write(tmp_path / "new.json", [{**rec, "gap": [None, 3e-14, 1e-15]}])
+    record.diff(old, new)
+    before, after = capsys.readouterr().out.split("\nnew: ")
+    assert "gap" not in before
+    assert after.startswith("3 solves") and "largest gap 3e-14" in after.splitlines()[0]

@@ -4,9 +4,11 @@
   d in {2, 4, 8} and s in 1..5: D sandwiched at ``SANDWICHED`` and 256, 600,
   1024; Q-bar and Tsallis sandwiched at ``SANDWICHED``; all three at ``PETZ``.
 * ``small`` (225, by kind): the three Petz at {1e-3, 0.01, 0.03, 0.05, 0.09}.
-* ``curves`` (4, by preset): a 24-rate ``sc_curve`` from half the Holevo
-  quantity to log d + 0.05 with one radius cache, also recording each rate's
-  ``argmax`` and the ``chi_inf_solves``.
+* ``curves`` (4, by preset): a 24-rate strong converse curve from half the
+  Holevo quantity to log d + 0.05 with one radius cache, also recording each
+  rate's ``argmax``, its ``gap`` (the upper bound of the tangent bracket
+  minus the value, null unless the argmax is a finite order above 1) and
+  the ``chi_inf_solves``.
 * ``bounds`` (8, by kind): ``sphere_packing_bound`` and
   ``random_coding_exponent`` at 24 rates from 0.3 to 1.1 times the Holevo
   quantity on each ``curves`` preset, with one Petz radius cache per preset.
@@ -93,12 +95,19 @@ def center(preset, kind, rule, alpha):
 
 
 def curve(preset):
-    """One 24-rate strong converse curve's values, argmaxes and chi_inf solves."""
+    """One 24-rate strong converse curve's values, argmaxes, gaps and chi_inf
+    solves; each gap reads the bracket off the cache right after its rate."""
     w, p = parse_preset(preset)
     rates = np.linspace(0.5 * centers.holevo_quantity(w, p)[0], math.log(w.dim) + 0.05, 24)
     cache = exponents.RadiusCache(w, p)
-    out = exponents.sc_curve(w, p, rates, cache=cache)
-    return {"value": out.values.tolist(), "flag": None, "argmax": out.maximizing_alpha.tolist(),
+    values, argmax, gaps = [], [], []
+    for rate in rates:
+        value, alpha = exponents.sc_exponent(w, p, float(rate), cache=cache)
+        upper = exponents._bracket(cache, float(rate), math.inf)[3] if 1.0 < alpha < math.inf else None
+        values.append(value)
+        argmax.append(alpha)
+        gaps.append(upper - value if upper is not None and math.isfinite(upper) else None)
+    return {"value": values, "flag": None, "argmax": argmax, "gap": gaps,
             "chi_inf_solves": int(cache.chi_inf_center is not None)}
 
 
@@ -199,9 +208,12 @@ def run(name, out):
 
 
 def _summary(recs):
+    recs = list(recs)
     sums = totals(recs)
     us = f"{1e6 * sums['seconds'] / sums['sweeps']:.0f}" if sums["sweeps"] else "n/a"
-    return ", ".join(f"{v} {k}" for k, v in sums.items()) + f", {us} us per sweep"
+    gaps = [g for r in recs for g in r.get("gap", ()) if g is not None]
+    text = ", ".join(f"{v} {k}" for k, v in sums.items()) + f", {us} us per sweep"
+    return text + (f", largest gap {max(gaps):.3g}" if gaps else "")
 
 
 def _changes(old, new, keys):
@@ -219,11 +231,11 @@ def _changes(old, new, keys):
 
 
 def diff(old_path, new_path):
-    """Both files' totals per group, with the microseconds per sweep and each
-    flagged case; the newly flagged cases; the cases whose sweeps rose,
-    largest ratio first; the changed sweeps and values (and argmaxes) per
-    group; the largest value rise and drop, absolute and relative (radii are
-    upper bounds, so the sign matters)."""
+    """Both files' totals per group, with the microseconds per sweep, the
+    largest curve gap and each flagged case; the newly flagged cases; the
+    cases whose sweeps rose, largest ratio first; the changed sweeps and
+    values (and argmaxes) per group; the largest value rise and drop,
+    absolute and relative (radii are upper bounds, so the sign matters)."""
     old, new = ({tuple(r["case"]): r for r in json.loads(Path(path).read_text(encoding="utf-8"))}
                 for path in (old_path, new_path))
     if old.keys() != new.keys():
