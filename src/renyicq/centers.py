@@ -8,7 +8,7 @@ W_x^(alpha/z), kept per exponent.  It also owns the alpha -> inf endpoint
 (`CenterProblem.solve_dmax`), the one other solve on that compression.
 `solve_center_D` and `solve_center_Qbar` build one per call,
 `divergence_radius` one per ascent round, and ``exponents.RadiusCache`` one
-for all its orders and its alpha -> inf endpoint.
+for its orders, chi_inf and the sweeps at W(P).
 
 The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
 safeguarded Anderson mixing over the damped center map, on unit-trace

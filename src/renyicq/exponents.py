@@ -10,9 +10,9 @@ by every rate, and stops on a bracket of the supremum.  The other two have
 no slope (at z = 1 it needs W_x^alpha log W_x per order): they bisect an
 order grid on the sign of the discrete slope (`_concave_argmax`) and refine
 by scipy's bounded Brent search (`_refine_at`), as the scalar oracle does.
-A failed order is dropped with a warning.  Every radius comes from a
-`RadiusCache`, whose ``centers.CenterProblem`` compresses (W, P) to supp
-W(P) once for all orders and for the alpha -> inf endpoint chi_inf.
+A failed order is dropped with a warning.  All three read one `RadiusCache`
+per (W, P), whose ``centers.CenterProblem`` compresses (W, P) to supp W(P)
+once for every order, chi_inf and the random-coding divergences.
 """
 
 from __future__ import annotations
@@ -72,36 +72,32 @@ class ConvexityReport:
 
 
 class RadiusCache:
-    """Memoized chi_alpha evaluations of one (W, P), with warm-started solves.
+    """Memoized radii of one (W, P), with warm-started solves.
 
     Holds one ``centers.CenterProblem``, so supp W(P) and the powered
-    outputs are compressed once for every order and for :meth:`chi_inf`, and
-    the Holevo quantity, computed once (:meth:`holevo`).  ``rule`` picks z =
-    alpha ("sandwiched") or z = 1 ("petz"); each order is solved from the
-    center of the nearest cached order.  A converged sandwiched order also
-    keeps ``slopes[alpha]`` = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by
-    the envelope theorem, alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x)
-    (log Q_x - log Tr W_x) at its center (``backend.alpha_slope``).  An order
+    outputs are compressed once for every order, :meth:`chi_inf` and
+    :meth:`petz_divergence`, and the Holevo quantity (:meth:`holevo`).  The
+    order picks z: alpha (sandwiched) above 1, 1 (Petz) below.  Each order is
+    solved from the center of the nearest cached order on its side of 1, as
+    a one-sided cache would.  A converged order above 1 also keeps
+    ``slopes[alpha]`` = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by the
+    envelope theorem, alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x) (log
+    Q_x - log Tr W_x) at its center (``backend.alpha_slope``).  An order
     whose solve did not converge keeps its message and raises it again
     without another solve.
     """
 
-    def __init__(self, w: GcqChannel, p: InputDistribution, rule: str = "sandwiched"):
-        if rule not in ("sandwiched", "petz"):
-            raise ValueError(f"unknown rule {rule!r}")
+    def __init__(self, w: GcqChannel, p: InputDistribution):
         self.w = w
         self.p = p
-        self.rule = rule
         self.problem = CenterProblem(w, p)
         self._results = {}
         self._failures = {}
+        self._petz = {}
         self.slopes = {}
         self._holevo = None
         self._chi_inf = None
         self.chi_inf_center = None
-
-    def _params(self, alpha: float) -> RenyiParams:
-        return RenyiParams(alpha, alpha if self.rule == "sandwiched" else 1.0)
 
     def result(self, alpha: float):
         res = self._results.get(alpha)
@@ -109,18 +105,17 @@ class RadiusCache:
             return res
         if alpha in self._failures:
             raise NonConvergenceError(self._failures[alpha])
-        warm = None
-        if self._results:
-            nearest = min(self._results, key=lambda a: abs(a - alpha))
-            warm = self._results[nearest].center
-        params = self._params(alpha)
+        alpha = float(alpha)  # numpy-scalar keys slow the scan 15x
+        side = [a for a in self._results if (a > 1.0) == (alpha > 1.0)]
+        warm = self._results[min(side, key=lambda a: abs(a - alpha))].center if side else None
+        params = RenyiParams(alpha, alpha if alpha > 1.0 else 1.0)
         try:
             res = self.problem.solve(params, "D", sigma0=warm).require_converged(params)
         except NonConvergenceError as exc:
             self._failures[alpha] = str(exc)
             raise
         self._results[alpha] = res
-        if self.rule == "sandwiched":
+        if alpha > 1.0:
             pb = self.problem
             dlogq = backend.alpha_slope(pb.compress(res.center.mat), pb.powers(1.0), alpha)
             self.slopes[alpha] = float(pb.probs @ (alpha * dlogq - res.log_q + pb.log_traces))
@@ -135,24 +130,40 @@ class RadiusCache:
             self._holevo = holevo_quantity(self.w, self.p)[0]
         return self._holevo
 
+    def petz_divergence(self, alpha: float) -> float:
+        """sum_x P(x) D_{alpha,1}(W(x)||W(P)) at the unit-trace W(P), memoized:
+        one values-only sweep (``backend.q_sweep``), W_x^0 the support
+        projection at alpha = 0; chi_1 at alpha = 1."""
+        div = self._petz.get(alpha)
+        if div is None:
+            if alpha == 1.0:
+                div = self.holevo()
+            else:
+                pb = self.problem
+                sigma = pb.start / np.trace(pb.start).real
+                logq = backend.q_sweep(sigma, pb.powers(alpha), 1.0, 0.5 * (1.0 - alpha))
+                div = float(pb.probs @ (logq - pb.log_traces) / (alpha - 1.0))
+            self._petz[alpha] = div
+        return div
+
     def chi_inf(self) -> float:
         """The alpha -> inf endpoint chi_inf = min_sigma sum_x P(x)
-        D_max(W(x)||sigma), solved once (``CenterProblem.solve_dmax``, BFGS on
-        a smoothing) from the center of the largest cached order, else W(P):
-        the exact objective at the state kept in ``chi_inf_center``, an upper
-        bound on the true radius, never above the objective at the start."""
+        D_max(W(x)||sigma), solved once (``CenterProblem.solve_dmax``, BFGS on a
+        smoothing) from the center of the largest cached order above 1, else
+        W(P): the exact objective at the state kept in ``chi_inf_center``, an
+        upper bound on the true radius, never above the objective at the start."""
         if self._chi_inf is None:
-            start = self._results[max(self._results)].center.mat if self._results else None
+            start = self._results[max(self.slopes)].center.mat if self.slopes else None
             self._chi_inf, self.chi_inf_center = self.problem.solve_dmax(start)
         return self._chi_inf
 
 
-def _cache_for(w, p, rule, cache):
-    """``cache`` if it holds the ``rule`` radii of (w, p); a new one if None."""
+def _cache_for(w, p, cache):
+    """``cache`` if it holds the radii of (w, p); a new one if None."""
     if cache is None:
-        return RadiusCache(w, p, rule)
-    if cache.rule != rule or cache.w is not w or cache.p != p:
-        raise ValueError(f"the cache does not hold the {rule} radii of this channel")
+        return RadiusCache(w, p)
+    if cache.w is not w or cache.p != p:
+        raise ValueError("the cache does not hold the radii of this channel")
     return cache
 
 
@@ -236,7 +247,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    cache = _cache_for(w, p, "sandwiched", cache)
+    cache = _cache_for(w, p, cache)
     if rate <= cache.holevo():
         return 0.0, 1.0
     top, g_inf, failed = DEFAULT_ALPHA_MAX, -math.inf, set()
@@ -272,7 +283,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
 def sc_curve(w: GcqChannel, p: InputDistribution, rates,
              cache: RadiusCache | None = None) -> ExponentCurve:
     """Strong converse exponent over a rate grid, sharing one radius cache."""
-    cache = _cache_for(w, p, "sandwiched", cache)
+    cache = _cache_for(w, p, cache)
     rates = np.asarray(list(rates), dtype=float)
     values = np.zeros_like(rates)
     argmax = np.zeros_like(rates)
@@ -287,7 +298,7 @@ def cutoff_rate(w: GcqChannel, p: InputDistribution, kappa: float,
     """Generalized cutoff rate C_kappa = chi*_{1/(1-kappa)}."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
-    cache = _cache_for(w, p, "sandwiched", cache)
+    cache = _cache_for(w, p, cache)
     return cache.chi(1.0 / (1.0 - kappa))
 
 
@@ -302,7 +313,7 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    cache = _cache_for(w, p, "petz", cache)
+    cache = _cache_for(w, p, cache)
     if rate >= cache.holevo():
         return 0.0
 
@@ -322,41 +333,27 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     return max(0.0, _refine_at(g, alphas, j, g(alphas[j]))[1])
 
 
-def _petz_divergence_alpha0(rho, sigma) -> float:
-    """alpha -> 0 limit of the Petz divergence: -log Tr rho^0 sigma + log Tr rho."""
-    overlap = float(np.trace(support_projection(herm(rho)).mat @ herm(sigma).mat).real)
-    if overlap <= 0.0:
-        return math.inf
-    return math.log(herm(rho).trace()) - math.log(overlap)
-
-
-def _random_coding_sup(w, p, rate, penalty):
+def _random_coding_sup(cache, rate, penalty):
     """The random-coding supremum, clamped at 0.  Its bracket is concave in alpha (log
     Tr W(x)^alpha W(P)^(1-alpha) is convex) and <= 0 for R + penalty >= chi_1."""
-    hol, avg = holevo_quantity(w, p)
-    if rate + penalty >= hol:
+    if rate + penalty >= cache.holevo():
         return 0.0
 
-    @functools.cache
     def g(alpha):
-        if alpha == 0.0:
-            div = sum(prob * _petz_divergence_alpha0(w.output(sym), avg)
-                      for sym, prob in p.items() if prob > 0.0)
-        else:
-            div = weighted_divergence(w, p, RenyiParams.petz(alpha), avg)
-        return (alpha - 1.0) * (rate - div + penalty)
+        return (alpha - 1.0) * (rate - cache.petz_divergence(alpha) + penalty)
 
     alphas = np.linspace(0.0, 1.0, 41).tolist()
     j = _concave_argmax(alphas, g)
     return max(0.0, _refine_at(g, alphas, j, g(alphas[j]))[1])
 
 
-def random_coding_exponent(w: GcqChannel, p: InputDistribution, rate: float) -> float:
+def random_coding_exponent(w: GcqChannel, p: InputDistribution, rate: float,
+                           cache: RadiusCache | None = None) -> float:
     """Achievable error exponent sup_{0<=alpha<=1} (alpha-1)(R - sum_x P(x)
-    D_{alpha,1}(W(x)||W(P)))."""
+    D_{alpha,1}(W(x)||W(P))), the divergences memoized in the cache."""
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    return _random_coding_sup(w, p, rate, 0.0)
+    return _random_coding_sup(_cache_for(w, p, cache), rate, 0.0)
 
 
 def finite_n_random_coding_bound(w: GcqChannel, p_n: TypeClass, rate: float) -> float:
@@ -365,7 +362,7 @@ def finite_n_random_coding_bound(w: GcqChannel, p_n: TypeClass, rate: float) -> 
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     penalty = len(p_n.support) * math.log(p_n.n + 1.0) / p_n.n
-    return _random_coding_sup(w, p_n.as_distribution, rate, penalty)
+    return _random_coding_sup(RadiusCache(w, p_n.as_distribution), rate, penalty)
 
 
 def finite_n_converse_bound(w: GcqChannel, p_n: TypeClass, rate: float,
@@ -389,7 +386,7 @@ def finite_n_converse_bound(w: GcqChannel, p_n: TypeClass, rate: float,
     if a <= 1.0 or params.z != a:
         raise ValueError("the converse bound needs sandwiched params with alpha > 1")
     if sigma is None:
-        chi = _cache_for(w, p, "sandwiched", cache).chi(a)
+        chi = _cache_for(w, p, cache).chi(a)
     else:
         chi = weighted_divergence(w, p, params, sigma)
     return -max(0.0, (1.0 - 1.0 / a) * (rate - chi))
@@ -453,7 +450,7 @@ def convexity_probe(w: GcqChannel, p: InputDistribution, u_grid=None,
         raise ValueError("midpoint check needs a uniform grid")
     if u[0] <= 0.0 or u[-1] >= 1.0:
         raise ValueError("u grid must lie inside (0, 1)")
-    cache = _cache_for(w, p, "sandwiched", cache)
+    cache = _cache_for(w, p, cache)
     f = np.array([ui * cache.chi(1.0 / (1.0 - ui)) for ui in u])
     violations = f[1:-1] - 0.5 * (f[:-2] + f[2:])
     return ConvexityReport(u, f, violations, float(violations.max()))

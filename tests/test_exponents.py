@@ -28,7 +28,6 @@ from renyicq.exponents import (
     SP_ALPHA_MIN,
     RadiusCache,
     _bracket,
-    _petz_divergence_alpha0,
     _refine_at,
     clipped_trace,
     convexity_probe,
@@ -41,7 +40,7 @@ from renyicq.exponents import (
     sc_exponent,
     sphere_packing_bound,
 )
-from renyicq.operators import DensityOperator, HermitianOperator
+from renyicq.operators import DensityOperator, HermitianOperator, support_projection
 
 LN2 = math.log(2.0)
 # The order grids of the strong converse exponent, the sphere-packing bound
@@ -142,7 +141,7 @@ class TestScExponent:
         w, p, real = noiseless2
 
         class Dead:
-            w, p, rule = real.w, real.p, real.rule
+            w, p = real.w, real.p
             slopes = {}
 
             def __init__(self):
@@ -179,7 +178,7 @@ class TestScExponent:
         real, read = RadiusCache(w, p), []
 
         class Flaky:
-            w, p, rule = real.w, real.p, real.rule
+            w, p = real.w, real.p
             slopes = real.slopes
 
             def chi(self, alpha):
@@ -215,7 +214,7 @@ class TestScExponent:
         real, read = RadiusCache(w, p), set()
 
         class Flaky:
-            w, p, rule = real.w, real.p, real.rule
+            w, p = real.w, real.p
             slopes = real.slopes
 
             def chi(self, alpha):
@@ -305,7 +304,7 @@ class TestSlope:
 
     def test_petz_orders_keep_no_slope(self, random_channel):
         w, p, _ = random_channel
-        cache = RadiusCache(w, p, "petz")
+        cache = RadiusCache(w, p)
         cache.chi(0.5)
         assert cache.slopes == {}
 
@@ -357,7 +356,7 @@ class TestRadiusCache:
                                              ("petz", (0.5, 0.7, 0.8))])
     def test_orders_match_cold_solves_bitwise(self, rule, orders):
         w, p = parse_preset("random:2:3:7")
-        cache = RadiusCache(w, p, rule)
+        cache = RadiusCache(w, p)
         warm = None
         for alpha in orders:
             params = RenyiParams(alpha, alpha if rule == "sandwiched" else 1.0)
@@ -400,11 +399,32 @@ class TestRadiusCache:
         sc_curve(w, p, rates)
         assert len(calls) == 1
 
-    def test_sphere_packing_rejects_a_sandwiched_cache(self):
-        w, p = random_cq_channel(2, 3, np.random.default_rng(7))
-        rate = 0.5 * holevo_quantity(w, p)[0]
-        with pytest.raises(ValueError, match="cache"):
-            sphere_packing_bound(w, p, rate, cache=RadiusCache(w, p, "sandwiched"))
+    def test_one_cache_serves_all_three_suprema(self):
+        # Each order is warm-started from its own side of 1, so one cache
+        # shared by the three suprema gives the values of separate caches.
+        w, p = parse_preset("random:2:3:7")
+        shared, sc_own, sp_own = RadiusCache(w, p), RadiusCache(w, p), RadiusCache(w, p)
+        hol = shared.holevo()
+        above = np.linspace(1.1 * hol, math.log(2.0) + 0.05, 4)
+        for low, high in zip(np.linspace(0.3, 0.95, 4) * hol, above):
+            assert (sphere_packing_bound(w, p, low, cache=shared)
+                    == sphere_packing_bound(w, p, low, cache=sp_own))
+            assert (sc_curve(w, p, [high], cache=shared).values[0]
+                    == sc_curve(w, p, [high], cache=sc_own).values[0])
+            assert random_coding_exponent(w, p, low, cache=shared) == random_coding_exponent(w, p, low)
+        assert shared.chi_inf_center is not None
+        assert shared.chi_inf() == sc_own.chi_inf()
+        other = RadiusCache(*random_cq_channel(2, 3, np.random.default_rng(8)))
+        for bound in (sc_curve, sphere_packing_bound, random_coding_exponent):
+            with pytest.raises(ValueError, match="cache"):
+                bound(w, p, 0.5 * hol, cache=other)
+
+    @pytest.mark.parametrize("kind", ["rank_deficient", "scaled"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+    def test_petz_divergence_matches_the_reference(self, kind, alpha):
+        w, p = _slope_channel(kind)
+        want = _petz_reference(w, p, alpha)
+        assert abs(RadiusCache(w, p).petz_divergence(alpha) - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_sc_exponent_rejects_another_channels_cache(self):
         w, p = random_cq_channel(2, 3, np.random.default_rng(7))
@@ -572,14 +592,20 @@ def _sp_value(cache, rate, alpha):
     return (alpha - 1.0) / alpha * (rate - cache.chi(alpha))
 
 
-def _rc_value(w, p, rate, alpha):
-    """(alpha - 1)(R - sum_x P(x) D_{alpha,1}(W(x)||W(P)))."""
+def _petz_reference(w, p, alpha):
+    """sum_x P(x) D_{alpha,1}(W(x)||W(P)) at the unit-trace W(P) by
+    `weighted_divergence`; at alpha = 0, log Tr W(x) - log Tr W(x)^0 W(P)."""
     avg = DensityOperator(average_output(w, p).mat)
     if alpha == 0.0:
-        div = sum(prob * _petz_divergence_alpha0(w.output(s), avg) for s, prob in p.items())
-    else:
-        div = weighted_divergence(w, p, RenyiParams.petz(alpha), avg)
-    return (alpha - 1.0) * (rate - div)
+        return sum(prob * (math.log(w.output(s).trace())
+                           - math.log(np.trace(support_projection(w.output(s)).mat @ avg.mat).real))
+                   for s, prob in p.items())
+    return weighted_divergence(w, p, RenyiParams.petz(alpha), avg)
+
+
+def _rc_value(w, p, rate, alpha):
+    """(alpha - 1)(R - sum_x P(x) D_{alpha,1}(W(x)||W(P)))."""
+    return (alpha - 1.0) * (rate - _petz_reference(w, p, alpha))
 
 
 # (d, k, seed) of the random channels the sphere-packing and random-coding
@@ -592,7 +618,7 @@ class TestSpherePacking:
         # chi_{alpha,1} <= chi_1 for alpha < 1, so no order is solved there.
         w, p, _ = random_channel
         hol, _ = holevo_quantity(w, p)
-        cache = RadiusCache(w, p, "petz")
+        cache = RadiusCache(w, p)
         for rate in (hol, hol * 1.05):
             assert sphere_packing_bound(w, p, rate, cache=cache) == 0.0
         assert not cache._results
@@ -614,13 +640,13 @@ class TestSpherePacking:
         # The concave search reads only the orders on its path; its first
         # probe is the grid order at position 19 of 40.
         w, p, _ = random_channel
-        real = RadiusCache(w, p, "petz")
+        real = RadiusCache(w, p)
         rate = 0.85 * holevo_quantity(w, p)[0]
         want = sphere_packing_bound(w, p, rate, cache=real)
         dropped = SP_GRID[19]
 
         class Flaky:
-            w, p, rule = real.w, real.p, real.rule
+            w, p = real.w, real.p
 
             def chi(self, alpha):
                 if alpha == dropped:
@@ -640,10 +666,10 @@ class TestSpherePacking:
         from renyicq.exceptions import NonConvergenceError
 
         w, p, _ = random_channel
-        real = RadiusCache(w, p, "petz")
+        real = RadiusCache(w, p)
 
         class Dead:
-            w, p, rule = real.w, real.p, real.rule
+            w, p = real.w, real.p
 
             def chi(self, alpha):
                 raise NonConvergenceError("stub")
@@ -659,8 +685,8 @@ class TestSpherePacking:
     @pytest.mark.parametrize("d,k,seed", SEARCHED)
     def test_lazy_search_matches_the_full_grid(self, d, k, seed):
         w, p = random_cq_channel(d, k, np.random.default_rng(seed))
-        full = RadiusCache(w, p, "petz")
-        lazy = RadiusCache(w, p, "petz")
+        full = RadiusCache(w, p)
+        lazy = RadiusCache(w, p)
         for i, rate in enumerate(np.linspace(0.4, 0.95, 4) * full.holevo()):
             best = max(_sp_value(full, rate, a) for a in SP_GRID)
             assert sphere_packing_bound(w, p, rate, cache=lazy) >= best - 1e-12
@@ -673,7 +699,7 @@ class TestSpherePacking:
         # the slopes of f between grid orders never fall.
         u = np.array([1.0 - 1.0 / a for a in SP_GRID])
         for d, k, seed in SEARCHED:
-            cache = RadiusCache(*random_cq_channel(d, k, np.random.default_rng(seed)), "petz")
+            cache = RadiusCache(*random_cq_channel(d, k, np.random.default_rng(seed)))
             slopes = np.diff(u * np.array([cache.chi(a) for a in SP_GRID])) / np.diff(u)
             assert np.diff(slopes).min() >= 0.0
 
@@ -706,34 +732,32 @@ class TestRandomCoding:
 
     def test_zero_above_mutual_information(self, random_channel, monkeypatch):
         # D_{alpha,1} <= D_1 for alpha <= 1, so no divergence is evaluated there.
-        from renyicq import exponents
+        from renyicq import backend
 
-        calls = []
-        monkeypatch.setattr(exponents, "weighted_divergence", lambda *args: calls.append(args))
+        calls, q_sweep = [], backend.q_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return q_sweep(*args)
+
+        monkeypatch.setattr(backend, "q_sweep", counted)
         w, p, _ = random_channel
         hol, _ = holevo_quantity(w, p)
         for rate in (hol, hol * 1.05):
             assert random_coding_exponent(w, p, rate) == 0.0
         assert not calls
+        assert random_coding_exponent(w, p, 0.5 * hol) > 0.0 and calls
 
     @pytest.mark.parametrize("d,k,seed", SEARCHED)
-    def test_lazy_search_matches_the_full_grid(self, d, k, seed, monkeypatch):
-        from renyicq import exponents
-
-        read = []
-
-        def recorded(w, p, params, sigma):
-            read.append(params.alpha)
-            return weighted_divergence(w, p, params, sigma)
-
-        monkeypatch.setattr(exponents, "weighted_divergence", recorded)
+    def test_lazy_search_matches_the_full_grid(self, d, k, seed):
         w, p = random_cq_channel(d, k, np.random.default_rng(seed))
+        cache = RadiusCache(w, p)
         for i, rate in enumerate(np.linspace(0.1, 0.95, 4) * holevo_quantity(w, p)[0]):
             best = max(_rc_value(w, p, rate, a) for a in RC_GRID)
-            read.clear()
-            assert random_coding_exponent(w, p, rate) >= best - 1e-12
+            assert random_coding_exponent(w, p, rate, cache=cache) >= best - 1e-12
             if i == 0:
-                assert len(set(read) & set(RC_GRID)) <= 12
+                # the divergences the search evaluated, memoized by the cache
+                assert 0 < len(set(cache._petz) & set(RC_GRID)) <= 12
 
     def test_finite_n_below_asymptotic(self, random_channel):
         w, p, _ = random_channel

@@ -77,3 +77,14 @@ def test_diff_prints_the_largest_curve_gap_of_each_side(record, tmp_path, capsys
     before, after = capsys.readouterr().out.split("\nnew: ")
     assert "gap" not in before
     assert after.startswith("3 solves") and "largest gap 3e-14" in after.splitlines()[0]
+
+
+def test_diff_scales_a_relative_move_by_at_least_one(record, tmp_path, capsys):
+    # A roundoff move on a near-zero exponent is not a large relative change.
+    a, b = ["grid", "petz", 0.7, 2, 0], ["grid", "petz", 0.7, 2, 1]
+    old = _write(tmp_path / "old.json", [_rec(a, 10, 1.5e-6), _rec(b, 10, 4.0)])
+    new = _write(tmp_path / "new.json", [_rec(a, 10, 1.5e-6 + 8e-16), _rec(b, 10, 4.0 - 2.0**-48)])
+    record.diff(old, new)
+    out = capsys.readouterr().out
+    assert "largest relative value rise: 8e-16 at ('grid', 'petz', 0.7, 2, 0)" in out
+    assert "largest relative value drop: 8.88e-16 at ('grid', 'petz', 0.7, 2, 1)" in out

@@ -11,7 +11,7 @@
   the ``chi_inf_solves``.
 * ``bounds`` (8, by kind): ``sphere_packing_bound`` and
   ``random_coding_exponent`` at 24 rates from 0.3 to 1.1 times the Holevo
-  quantity on each ``curves`` preset, with one Petz radius cache per preset.
+  quantity on each ``curves`` preset, with one radius cache per case.
 * ``radii`` (88): ``divergence_radius`` (``grid``) and ``weighted_radius_beta``
   at beta = inf (``beta_inf``) on ``random_cq_channel(d, 3, default_rng(s))``.
 * ``verify`` (24): ``renyicq verify --seed s`` for s = 1..24, in process.
@@ -115,14 +115,14 @@ def bound(preset, kind):
     """One 24-rate sphere-packing or random-coding curve, flagged by the
     first warning it raised (a dropped order, or the sphere-packing floor)."""
     w, p = parse_preset(preset)
-    cache = exponents.RadiusCache(w, p, "petz")
+    cache = exponents.RadiusCache(w, p)
     rates = np.linspace(0.3, 1.1, 24) * cache.holevo()
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         if kind == "sphere_packing":
             values = [exponents.sphere_packing_bound(w, p, r, cache=cache) for r in rates]
         else:
-            values = [exponents.random_coding_exponent(w, p, r) for r in rates]
+            values = [exponents.random_coding_exponent(w, p, r, cache=cache) for r in rates]
     return {"value": [float(v) for v in values],
             "flag": str(log[0].message) if log else None}
 
@@ -235,7 +235,8 @@ def diff(old_path, new_path):
     largest curve gap and each flagged case; the newly flagged cases; the
     cases whose sweeps rose, largest ratio first; the changed sweeps and
     values (and argmaxes) per group; the largest value rise and drop,
-    absolute and relative (radii are upper bounds, so the sign matters)."""
+    absolute and relative to max(1, |old|), the scale of the package's
+    tolerances (radii are upper bounds, so the sign matters)."""
     old, new = ({tuple(r["case"]): r for r in json.loads(Path(path).read_text(encoding="utf-8"))}
                 for path in (old_path, new_path))
     if old.keys() != new.keys():
@@ -260,7 +261,7 @@ def diff(old_path, new_path):
     for g in groups:
         print(f"{g}: {_changes(old, new, [k for k in old if old[k]['group'] == g])}")
     print(f"all: {_changes(old, new, list(old))}")
-    moves = [(b - a, (b - a) / max(abs(a), 1e-300), k) for k in old
+    moves = [(b - a, (b - a) / max(abs(a), 1.0), k) for k in old
              for a, b in zip(np.ravel(old[k].get("value", math.nan)),
                              np.ravel(new[k].get("value", math.nan)))
              if math.isfinite(a) and math.isfinite(b)]
