@@ -85,6 +85,19 @@ def alpha_slope(sigma, wpows, alpha):
     return (f * (np.log(np.where(f > 0.0, u, 1.0)) + log_scale - diag / alpha)).sum(axis=1)
 
 
+def petz_slope(sigma, outputs, alpha):
+    """d log Q_x / d alpha of the Petz Q_x = Tr W_x^alpha sigma^(1-alpha) for
+    every symbol, at fixed unit-trace sigma (``outputs`` holds the W_x):
+    sum_ij lam_i^alpha mu_j^(1-alpha) |<i|j>|^2 (log lam_i - log mu_j) / Q_x
+    over the eigenpairs of W_x and sigma, each sum on its support."""
+    (lam, vx), (mu, v) = np.linalg.eigh(outputs), np.linalg.eigh(sigma)
+    on_lam, on_mu = lam > lam[:, -1:] * EIG_CUTOFF, mu > mu[-1] * EIG_CUTOFF
+    log_lam, log_mu = np.log(np.where(on_lam, lam, 1.0)), np.log(np.where(on_mu, mu, 1.0))
+    terms = (np.abs(vx.conj().swapaxes(-1, -2) @ v) ** 2 * on_mu * np.exp((1.0 - alpha) * log_mu)
+             * (on_lam * np.exp(alpha * log_lam))[:, :, None])
+    return (terms * (log_lam[:, :, None] - log_mu)).sum(axis=(1, 2)) / terms.sum(axis=(1, 2))
+
+
 def q_sweep(sigma, wpows, z, spow):
     """log Tr (sigma^spow W_x^pow sigma^spow)^z for every symbol (values only)."""
     a, log_scale = _sandwiches(sigma, wpows, spow)

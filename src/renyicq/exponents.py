@@ -3,27 +3,22 @@
 All rates and exponents are in nats.  Each supremum over the order is
 exactly 0, with no solve, where its bracket cannot be positive: at rates up
 to the Holevo quantity chi_1 for the strong converse exponent, from chi_1 on
-for the other two.  The strong converse exponent is the Legendre transform
-of the convex f(u) = u chi*_{1/(1-u)}, u = 1 - 1/alpha: `sc_exponent` runs
-a safeguarded secant on f'(u) = R over the samples its cache holds, shared
-by every rate, and stops on a bracket of the supremum.  The other two have
-no slope (at z = 1 it needs W_x^alpha log W_x per order): they bisect an
-order grid on the sign of the discrete slope (`_concave_argmax`) and refine
-by scipy's bounded Brent search (`_refine_at`), as the scalar oracle does.
+for the other two.  Else each is the supremum of a concave g(u) = uR - f(u)
+at f'(u) = R, found by one `_tangent_search` over the exact slopes its cache
+holds.  With f(u) = u chi_{1/(1-u)}, u = 1 - 1/alpha, u > 0 gives the strong
+converse exponent and u < 0 the sphere-packing bound; the random-coding
+exponent takes f(t) = sum_x P(x) (log Q_x - log Tr W_x) at W(P), t = alpha - 1.
 A failed order is dropped with a warning.  All three read one `RadiusCache`
-per (W, P), whose ``centers.CenterProblem`` compresses (W, P) to supp W(P)
-once for every order, chi_inf and the random-coding divergences.
+per (W, P), which compresses (W, P) to supp W(P) once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import backend
 from .centers import CenterProblem, holevo_quantity, weighted_divergence
@@ -33,14 +28,13 @@ from .exceptions import NonConvergenceError
 from .operators import herm, support_projection
 
 DEFAULT_ALPHA_MAX = 64.0
-DEFAULT_GRID_POINTS = 40
 SP_ALPHA_MIN = 1e-3
 
 # Last order of the sc search's doubling tail, the scalar oracle's last order,
 # and the largest order solved: a sandwiched solve there can miss the 10000-sweep cap.
 _ALPHA_TAIL_MAX = 1024.0
-# Absolute tolerance in u of Brent's refinements and of the sc bracket.
-_REFINE_XATOL = 1e-7
+# Absolute tolerance in u of the tangent search's bracket.
+_XATOL = 1e-7
 
 
 @dataclass
@@ -79,10 +73,10 @@ class RadiusCache:
     :meth:`petz_divergence`, and the Holevo quantity (:meth:`holevo`).  The
     order picks z: alpha (sandwiched) above 1, 1 (Petz) below.  Each order is
     solved from the center of the nearest cached order on its side of 1, as
-    a one-sided cache would.  A converged order above 1 also keeps
-    ``slopes[alpha]`` = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by the
-    envelope theorem, alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x) (log
-    Q_x - log Tr W_x) at its center (``backend.alpha_slope``).  An order
+    a one-sided cache would.  A converged order also keeps ``slopes[alpha]``
+    = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by the envelope theorem,
+    alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x) (log Q_x - log Tr W_x) at
+    its center (``backend.alpha_slope`` above 1, ``petz_slope`` below).  An order
     whose solve did not converge keeps its message and raises it again
     without another solve.
     """
@@ -115,10 +109,10 @@ class RadiusCache:
             self._failures[alpha] = str(exc)
             raise
         self._results[alpha] = res
-        if alpha > 1.0:
-            pb = self.problem
-            dlogq = backend.alpha_slope(pb.compress(res.center.mat), pb.powers(1.0), alpha)
-            self.slopes[alpha] = float(pb.probs @ (alpha * dlogq - res.log_q + pb.log_traces))
+        pb = self.problem
+        slope = backend.alpha_slope if alpha > 1.0 else backend.petz_slope
+        dlogq = slope(pb.compress(res.center.mat), pb.powers(1.0), alpha)
+        self.slopes[alpha] = float(pb.probs @ (alpha * dlogq - res.log_q + pb.log_traces))
         return res
 
     def chi(self, alpha: float) -> float:
@@ -131,20 +125,19 @@ class RadiusCache:
         return self._holevo
 
     def petz_divergence(self, alpha: float) -> float:
-        """sum_x P(x) D_{alpha,1}(W(x)||W(P)) at the unit-trace W(P), memoized:
-        one values-only sweep (``backend.q_sweep``), W_x^0 the support
-        projection at alpha = 0; chi_1 at alpha = 1."""
-        div = self._petz.get(alpha)
-        if div is None:
-            if alpha == 1.0:
-                div = self.holevo()
-            else:
-                pb = self.problem
-                sigma = pb.start / np.trace(pb.start).real
-                logq = backend.q_sweep(sigma, pb.powers(alpha), 1.0, 0.5 * (1.0 - alpha))
-                div = float(pb.probs @ (logq - pb.log_traces) / (alpha - 1.0))
-            self._petz[alpha] = div
-        return div
+        """sum_x P(x) D_{alpha,1}(W(x)||W(P)) at the unit-trace W(P): one
+        values-only sweep (``backend.q_sweep``), W_x^0 the support projection
+        at alpha = 0; chi_1 at alpha = 1.  Memoized with its slope, sum_x P(x)
+        d log Q_x/d alpha (``backend.petz_slope``)."""
+        if alpha == 1.0:
+            self._petz[alpha] = (self.holevo(), self.holevo())
+        elif alpha not in self._petz:
+            pb = self.problem
+            sigma = pb.start / np.trace(pb.start).real
+            logq = backend.q_sweep(sigma, pb.powers(alpha), 1.0, 0.5 * (1.0 - alpha))
+            self._petz[alpha] = (float(pb.probs @ (logq - pb.log_traces) / (alpha - 1.0)),
+                                 float(pb.probs @ backend.petz_slope(sigma, pb.powers(1.0), alpha)))
+        return self._petz[alpha][0]
 
     def chi_inf(self) -> float:
         """The alpha -> inf endpoint chi_inf = min_sigma sum_x P(x)
@@ -153,7 +146,8 @@ class RadiusCache:
         W(P): the exact objective at the state kept in ``chi_inf_center``, an
         upper bound on the true radius, never above the objective at the start."""
         if self._chi_inf is None:
-            start = self._results[max(self.slopes)].center.mat if self.slopes else None
+            top = max(self.slopes, default=1.0)
+            start = self._results[top].center.mat if top > 1.0 else None
             self._chi_inf, self.chi_inf_center = self.problem.solve_dmax(start)
         return self._chi_inf
 
@@ -167,81 +161,86 @@ def _cache_for(w, p, cache):
     return cache
 
 
-def _refine_at(f, grid, j, fj):
-    """The better of grid point j, where f is fj, and scipy's bounded Brent
-    search of f between its grid neighbours: returns (point, value).  The
-    refinement of the sphere-packing and random-coding suprema."""
-    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": _REFINE_XATOL})
-    if -res.fun > fj:
-        return float(res.x), -float(res.fun)
-    return grid[j], fj
-
-
-def _concave_argmax(points, value):
-    """Index of the first maximum of ``value``, concave along ``points``: a
-    bisection on the sign of value(points[i + 1]) - value(points[i]), which
-    reads at most 2 ceil(log2(len(points))) values while none is -inf
-    (``value`` should memoize).  A point whose value is -inf (a failed
-    order) is removed from ``points`` in place and the bisection goes on
-    over the rest; when no value is finite, the index is len(points) or
-    holds -inf."""
-    lo, hi = 0, len(points) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        left, right = value(points[mid]), value(points[mid + 1])
-        if left == -math.inf or right == -math.inf:
-            live = [a for a in points[mid:mid + 2] if value(a) > -math.inf]
-            hi -= 2 - len(live)
-            points[mid:mid + 2] = live
-        elif right > left:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _order_value(cache, alpha, weight, rate):
-    """weight (R - chi_alpha), or -inf with a warning when the center solve
-    at alpha fails, so that a failed order never attains a supremum."""
+def _solved(cache, u):
+    """Whether the center solve at alpha = 1/(1-u) converged; a failure warns."""
     try:
-        return weight * (rate - cache.chi(alpha))
+        cache.chi(1.0 / (1.0 - u))
     except NonConvergenceError as exc:
-        warnings.warn(f"dropping alpha={alpha:.6g}: {exc}")
-        return -math.inf
+        warnings.warn(f"dropping alpha={1.0 / (1.0 - u):.6g}: {exc}")
+        return False
+    return True
 
 
-def _bracket(cache, rate, top):
-    """The samples (u, g, f') of the sc search at ``rate``, sorted by u: u = 0
-    (g = 0, f' = chi_1) and each order alpha <= top the cache holds with a
-    slope, at u = 1 - 1/alpha and g = u (R - chi_alpha); the last sample a
-    with f' < R; the first b with f' >= R; and where the tangents of the
-    concave g at a and b meet, an upper bound on sup g (inf while b is None)."""
-    pts = sorted([(1.0 - 1.0 / a, (1.0 - 1.0 / a) * (rate - cache.chi(a)), s)
-                  for a, s in cache.slopes.items() if a <= top] + [(0.0, 0.0, cache.holevo())])
-    ua, ga, da = a = [q for q in pts if q[2] < rate][-1]
+def _radius_samples(cache, rate, lo, hi):
+    """The samples (u, g, f') on [lo, hi] sorted by u: u = 0 (g = 0, f' = chi_1)
+    and each order alpha with a slope, at u = 1 - 1/alpha, g = u (R - chi_alpha)."""
+    return sorted([(u, u * (rate - cache.chi(a)), s) for a, s in cache.slopes.items()
+                   if lo <= (u := 1.0 - 1.0 / a) <= hi] + [(0.0, 0.0, cache.holevo())])
+
+
+def _moment_samples(cache, rate):
+    """The samples (t, g, f') on [-1, 0] sorted by t: t = 0 (g = 0, f' = chi_1)
+    and each order alpha = 1 + t < 1 with a `petz_divergence` D, g = t (R - D)."""
+    return sorted([(a - 1.0, (a - 1.0) * (rate - div), s) for a, (div, s) in cache._petz.items()
+                   if a < 1.0] + [(0.0, 0.0, cache.holevo())])
+
+
+def _bracket(pts, rate):
+    """Of samples (u, g, f') sorted by u: the last a with f' < R, the first b
+    with f' >= R (None if none), and where the tangents of g at a and b meet,
+    an upper bound on sup g (inf without both)."""
+    a = next((q for q in reversed(pts) if q[2] < rate), None)
     b = next((q for q in pts if q[2] >= rate), None)
-    if b is None:
-        return pts, a, None, math.inf
-    ub, gb, db = b
+    if a is None or b is None:
+        return a, b, math.inf
+    (ua, ga, da), (ub, gb, db) = a, b
     cut = (gb - ga + (rate - da) * ua - (rate - db) * ub) / (db - da)
-    return pts, a, b, ga + (rate - da) * (cut - ua)
+    return a, b, ga + (rate - da) * (cut - ua)
+
+
+def _tangent_search(samples, probe, rate, lo, hi):
+    """The supremum of a concave g(u) = uR - f(u) over [lo, hi], at f' = R.
+    Each step adds to the ``samples()`` (u, g, f'), u = 0 among them, one
+    ``probe(u)`` (False if it failed) at the secant root of f' = R through
+    the two samples with slopes nearest R (halfway to the far end with one
+    sample), clamped inside `_bracket`'s (a, b), else at its missing end or
+    middle; a failed probe moves halfway to a, else b.  Stops once the
+    bracket bound is within 1e-13 max(1, |g|) of the best g or b - a <
+    _XATOL, or with nothing left to probe: (samples, a, b)."""
+    failed = set()
+    while True:
+        pts = samples()
+        a, b, upper = _bracket(pts, rate)
+        best = max(q[1] for q in pts)
+        if upper - best <= 1e-13 * max(1.0, abs(best)) or a and b and b[0] - a[0] < _XATOL:
+            return pts, a, b
+        ua, ub = lo if a is None else a[0], hi if b is None else b[0]
+        cand = 0.5 * (ua + ub)  # one sample: no secant yet
+        if len(pts) > 1:
+            (u1, _, d1), (u2, _, d2) = sorted(pts, key=lambda q: abs(q[2] - rate))[:2]
+            cand = u1 + (rate - d1) * (u2 - u1) / (d2 - d1) if d2 != d1 else math.inf
+        if not ua < cand < ub:
+            cand = hi if b is None else lo if a is None else 0.5 * (ua + ub)
+        pad = 0.5 * _XATOL
+        cand = None if ua == ub else min(max(cand, ua if a is None else ua + pad),
+                                         ub if b is None else ub - pad)
+        anchor = ub if a is None else ua
+        while cand in failed:
+            cand = 0.5 * (anchor + cand) if abs(cand - anchor) >= 2.0 * _XATOL else None
+        if cand is None:
+            return pts, a, b
+        if not probe(cand):
+            failed.add(cand)
 
 
 def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
                 cache: RadiusCache | None = None):
     """Strong converse exponent sup_{alpha>1} (1-1/alpha)(R - chi*_alpha).
 
-    Exactly 0, with no solve, for R at or below chi_1; else the supremum of
-    g(u) = uR - f(u) sits at f'(u) = R.  Each step solves the secant root of
-    f' = R through the two samples with slopes nearest R (halfway to the top
-    order while u = 0 is the only one), clamped inside the bracket (a, b),
-    until the `_bracket` bound is within 1e-13 max(1, |g|) of the best g or
-    b - a < _REFINE_XATOL.  Without b the probes stop at the top order,
-    DEFAULT_ALPHA_MAX, which doubles up to 1024 while f' < R there; past 64
-    the endpoint R - chi_inf is solved, the value if no sample beats it.  A
-    failed order is dropped with a warning and the probe moves halfway to a.
+    Exactly 0, with no solve, for R at or below chi_1; else the
+    `_tangent_search` over u in [0, 1 - 1/top], the top order
+    DEFAULT_ALPHA_MAX doubling up to 1024 while f' < R there; past 64 the
+    endpoint R - chi_inf is solved, the value if no sample beats it.
     Returns (value, argmax_alpha), argmax_alpha 1.0 for a zero value and inf
     when the endpoint dominates.
     """
@@ -250,33 +249,18 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     cache = _cache_for(w, p, cache)
     if rate <= cache.holevo():
         return 0.0, 1.0
-    top, g_inf, failed = DEFAULT_ALPHA_MAX, -math.inf, set()
+    top, g_inf = DEFAULT_ALPHA_MAX, -math.inf
     while True:
-        pts, a, b, upper = _bracket(cache, rate, top)
-        best = max(pts, key=lambda q: q[1])
-        if b is not None and (upper - best[1] <= 1e-13 * max(1.0, abs(best[1]))
-                              or b[0] - a[0] < _REFINE_XATOL):
+        hi = 1.0 - 1.0 / top
+        pts, a, b = _tangent_search(lambda: _radius_samples(cache, rate, 0.0, hi),
+                                    lambda u: _solved(cache, u), rate, 0.0, hi)
+        if b is not None or top >= _ALPHA_TAIL_MAX:
             break
-        hi = 1.0 - 1.0 / top if b is None else b[0] - 0.5 * _REFINE_XATOL
-        cand = 0.5 * (a[0] + hi)  # u = 0 alone: no secant yet
-        if len(pts) > 1:
-            (u1, _, d1), (u2, _, d2) = sorted(pts, key=lambda q: abs(q[2] - rate))[:2]
-            cand = u1 + (rate - d1) * (u2 - u1) / (d2 - d1) if d2 != d1 else math.inf
-        if not a[0] < cand < (math.inf if b is None else b[0]):
-            cand = hi if b is None else 0.5 * (a[0] + b[0])
-        cand = None if a[0] == hi else min(max(cand, a[0] + 0.5 * _REFINE_XATOL), hi)
-        while cand in failed:
-            cand = 0.5 * (a[0] + cand) if cand - a[0] >= 2.0 * _REFINE_XATOL else None
-        if cand is not None:
-            if _order_value(cache, 1.0 / (1.0 - cand), 1.0, rate) == -math.inf:
-                failed.add(cand)
-        elif b is not None or top >= _ALPHA_TAIL_MAX:
-            break
-        elif a[0] == 0.0:
+        if a[0] == 0.0:
             raise NonConvergenceError("no sandwiched radius evaluation converged")
-        else:
-            g_inf, top = rate - cache.chi_inf(), 2.0 * top
-    value, argmax = max((g_inf, math.inf), (best[1], 1.0 / (1.0 - best[0])))
+        g_inf, top = rate - cache.chi_inf(), 2.0 * top
+    u, g, _ = max(pts, key=lambda q: q[1])
+    value, argmax = max((g_inf, math.inf), (g, 1.0 / (1.0 - u)))
     return float(value), float(argmax)
 
 
@@ -306,45 +290,38 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
                          cache: RadiusCache | None = None) -> float:
     """sup_{0<alpha<1} ((alpha-1)/alpha)(R - chi_{alpha,1}), clamped at 0.
 
-    Exactly 0, with no solve, for R >= chi_1, since chi_{alpha,1} <= chi_1.
-    The bracket is E_0(s) - s R, with E_0(s) = s chi_{1/(1+s),1} concave in
-    s = 1/alpha - 1.  The supremum may diverge as alpha -> 0; the grid is
-    floored at SP_ALPHA_MIN and a warning is emitted when the argmax sits there.
+    Exactly 0, with no solve, for R >= chi_1, since chi_{alpha,1} <= chi_1;
+    else the `_tangent_search` over u = 1 - 1/alpha in [1 - 1/SP_ALPHA_MIN, 0].
+    The supremum may diverge as alpha -> 0: a warning is emitted when it
+    sits at the lowest order solved.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     cache = _cache_for(w, p, cache)
     if rate >= cache.holevo():
         return 0.0
-
-    @functools.cache
-    def g(alpha):
-        return _order_value(cache, alpha, (alpha - 1.0) / alpha, rate)
-
-    alphas = np.geomspace(SP_ALPHA_MIN, 1.0 - 1e-6, DEFAULT_GRID_POINTS).tolist()
-    j = _concave_argmax(alphas, g)
-    if j == len(alphas) or g(alphas[j]) == -math.inf:
+    lo = 1.0 - 1.0 / SP_ALPHA_MIN
+    pts, a, _ = _tangent_search(lambda: _radius_samples(cache, rate, lo, 0.0),
+                                lambda u: _solved(cache, u), rate, lo, 0.0)
+    if len(pts) == 1:
         raise NonConvergenceError("no Petz radius evaluation converged")
-    if j == 0:
-        warnings.warn(
-            "sphere-packing supremum attained at the alpha grid floor; "
-            "the true supremum may be +inf"
-        )
-    return max(0.0, _refine_at(g, alphas, j, g(alphas[j]))[1])
+    if a is None:
+        warnings.warn("sphere-packing supremum attained at the alpha grid floor; "
+                      "the true supremum may be +inf")
+    return max(q[1] for q in pts)  # u = 0 holds g = 0
 
 
 def _random_coding_sup(cache, rate, penalty):
-    """The random-coding supremum, clamped at 0.  Its bracket is concave in alpha (log
-    Tr W(x)^alpha W(P)^(1-alpha) is convex) and <= 0 for R + penalty >= chi_1."""
-    if rate + penalty >= cache.holevo():
+    """The random-coding supremum, clamped at 0: the `_tangent_search` at rate
+    R + penalty over t = alpha - 1 in [-1, 0] (log Tr W(x)^alpha W(P)^(1-alpha)
+    is convex), 0 for R + penalty >= chi_1."""
+    rate += penalty
+    if rate >= cache.holevo():
         return 0.0
-
-    def g(alpha):
-        return (alpha - 1.0) * (rate - cache.petz_divergence(alpha) + penalty)
-
-    alphas = np.linspace(0.0, 1.0, 41).tolist()
-    j = _concave_argmax(alphas, g)
-    return max(0.0, _refine_at(g, alphas, j, g(alphas[j]))[1])
+    pts, _, _ = _tangent_search(lambda: _moment_samples(cache, rate),
+                                lambda t: math.isfinite(cache.petz_divergence(1.0 + t)),
+                                rate, -1.0, 0.0)
+    return max(q[1] for q in pts)
 
 
 def random_coding_exponent(w: GcqChannel, p: InputDistribution, rate: float,

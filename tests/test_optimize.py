@@ -102,19 +102,25 @@ def test_no_private_imports_across_modules():
 
 def test_one_module_searches_states():
     # optimize.py runs every search over states; the scalar oracle keeps its
-    # own scipy searches.  Nelder-Mead is gone from the package.
-    importers, mentions = set(), set()
+    # own scipy searches.  No other module imports from scipy.optimize, and
+    # Nelder-Mead is gone from the package.
+    importers, users, mentions = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         if "Nelder" in source:
             mentions.add(path.name)
         for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                if any((prefix + a.name).startswith("scipy.optimize") for a in node.names):
+                    users.add(path.name)
             if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize":
                 if any(a.name == "minimize" for a in node.names):
                     importers.add(path.name)
             elif isinstance(node, ast.Attribute) and node.attr == "minimize":
                 importers.add(path.name)
     assert importers == {"optimize.py", "classical.py"}
+    assert users == {"optimize.py", "classical.py"}
     assert mentions == set()
 
 

@@ -11,7 +11,8 @@
   the ``chi_inf_solves``.
 * ``bounds`` (8, by kind): ``sphere_packing_bound`` and
   ``random_coding_exponent`` at 24 rates from 0.3 to 1.1 times the Holevo
-  quantity on each ``curves`` preset, with one radius cache per case.
+  quantity on each ``curves`` preset, with one radius cache per case, also
+  recording each rate's tangent-bracket ``gap`` (null without a bracket).
 * ``radii`` (88): ``divergence_radius`` (``grid``) and ``weighted_radius_beta``
   at beta = inf (``beta_inf``) on ``random_cq_channel(d, 3, default_rng(s))``.
 * ``verify`` (24): ``renyicq verify --seed s`` for s = 1..24, in process.
@@ -103,7 +104,8 @@ def curve(preset):
     values, argmax, gaps = [], [], []
     for rate in rates:
         value, alpha = exponents.sc_exponent(w, p, float(rate), cache=cache)
-        upper = exponents._bracket(cache, float(rate), math.inf)[3] if 1.0 < alpha < math.inf else None
+        pts = exponents._radius_samples(cache, float(rate), 0.0, 1.0)
+        upper = exponents._bracket(pts, float(rate))[2] if 1.0 < alpha < math.inf else None
         values.append(value)
         argmax.append(alpha)
         gaps.append(upper - value if upper is not None and math.isfinite(upper) else None)
@@ -112,19 +114,25 @@ def curve(preset):
 
 
 def bound(preset, kind):
-    """One 24-rate sphere-packing or random-coding curve, flagged by the
-    first warning it raised (a dropped order, or the sphere-packing floor)."""
+    """One 24-rate sphere-packing or random-coding curve with each rate's
+    gap, read off the cache's samples as in `curve`, flagged by the first
+    warning it raised (a dropped order, or the sphere-packing floor)."""
     w, p = parse_preset(preset)
     cache = exponents.RadiusCache(w, p)
-    rates = np.linspace(0.3, 1.1, 24) * cache.holevo()
+    lo = 1.0 - 1.0 / exponents.SP_ALPHA_MIN
+    values, gaps = [], []
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
-        if kind == "sphere_packing":
-            values = [exponents.sphere_packing_bound(w, p, r, cache=cache) for r in rates]
-        else:
-            values = [exponents.random_coding_exponent(w, p, r, cache=cache) for r in rates]
-    return {"value": [float(v) for v in values],
-            "flag": str(log[0].message) if log else None}
+        for rate in np.linspace(0.3, 1.1, 24) * cache.holevo():
+            if kind == "sphere_packing":
+                values.append(float(exponents.sphere_packing_bound(w, p, rate, cache=cache)))
+                pts = exponents._radius_samples(cache, rate, lo, 0.0)
+            else:
+                values.append(float(exponents.random_coding_exponent(w, p, rate, cache=cache)))
+                pts = exponents._moment_samples(cache, rate)
+            upper = exponents._bracket(pts, rate)[2]
+            gaps.append(upper - values[-1] if math.isfinite(upper) else None)
+    return {"value": values, "flag": str(log[0].message) if log else None, "gap": gaps}
 
 
 def radius(group, rule, alpha, d, seed):
