@@ -4,11 +4,12 @@ Every D and Q-bar center solve runs through `CenterProblem.solve`, whose
 result carries the sweep that certified it (``CenterResult.log_q``).  A
 `CenterProblem` restricts (W, P) to the support of W(P) once: the isometry,
 the compressed start W(P), log Tr W_x and the compressed powers
-W_x^(alpha/z), kept per exponent.  It also owns the alpha -> inf endpoint
-(`CenterProblem.solve_dmax`), the one other solve on that compression.
+W_x^(alpha/z), kept per exponent.  It is also the memo the exponents read
+(``exponents.RadiusCache``): each order's radius and slope, the Holevo
+quantity, the Petz divergences at W(P) and the alpha -> inf endpoint, so
+only this module knows the compression and the sweep kernel.
 `solve_center_D` and `solve_center_Qbar` build one per call,
-`divergence_radius` one per ascent round, and ``exponents.RadiusCache`` one
-for its orders, chi_inf and the sweeps at W(P).
+`divergence_radius` one per ascent round.
 
 The D and the Q-bar center are solved by one loop, `_run_fixed_point`:
 safeguarded Anderson mixing over the damped center map, on unit-trace
@@ -385,19 +386,26 @@ def fixed_point_map_tsallis(w: GcqChannel, p: InputDistribution, params: RenyiPa
 # ---------------------------------------------------------------------------
 
 class CenterProblem:
-    """The weighted center problem of (W, P), restricted to supp W(P) once.
+    """The weighted center problem of (W, P), restricted to supp W(P) once,
+    and the memo of its radii (``exponents.RadiusCache``).
 
     Holds the isometry V onto the support of W(P), the supported symbols and
     their probabilities, the compressed start V* W(P) V (Hermitian part), log
     Tr W_x, and the compressed powers V* W_x^(alpha/z) V, built on first use
     and kept per exponent alpha/z.  Every D and Q-bar center solve runs
-    through :meth:`solve`, and the alpha -> inf endpoint through
-    :meth:`solve_dmax`; one problem serves any number of orders, as a
-    `RadiusCache` does.
+    through :meth:`solve`.  :meth:`result` memoizes the D solve of an order,
+    z = alpha (sandwiched) above 1 and z = 1 (Petz) below, warm-started from
+    the nearest cached order on its side of 1.  A converged order also keeps
+    ``slopes[alpha]`` = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by the
+    envelope theorem, alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x) (log Q_x
+    - log Tr W_x) at its center (``backend.alpha_slope`` above 1,
+    ``petz_slope`` below).  A failed order keeps its message and raises it
+    again without another solve.
     """
 
     def __init__(self, w: GcqChannel, p: InputDistribution):
         self.w = w
+        self.p = p
         self.average = average_output(w, p)
         self.iso = support_isometry(self.average)
         self.symbols = p.support
@@ -406,6 +414,14 @@ class CenterProblem:
         self.start = 0.5 * (start + start.conj().T)
         self.log_traces = np.log([w.output(s).trace() for s in self.symbols])
         self._powers = {}
+        self._results = {}
+        self._failures = {}
+        self._petz = {}
+        self.slopes = {}
+        self.petz_slopes = {}
+        self._holevo = None
+        self._chi_inf = None
+        self.chi_inf_center = None
 
     def compress(self, mat):
         """V* mat V, for one matrix or a stack."""
@@ -454,21 +470,69 @@ class CenterProblem:
         return CenterResult(DensityOperator(self.embed(sigma)), value, iters, residual, ok,
                             FIXED_POINT, not proven, logq)
 
-    def solve_dmax(self, start=None):
-        """The weighted max-relative-entropy radius (the alpha -> inf endpoint)
+    def result(self, alpha: float) -> CenterResult:
+        """The converged D solve at alpha (z = alpha above 1, z = 1 below),
+        warm-started and memoized with its slope; NonConvergenceError if it
+        did not converge, now or on an earlier call."""
+        res = self._results.get(alpha)
+        if res is not None:
+            return res
+        if alpha in self._failures:
+            raise NonConvergenceError(self._failures[alpha])
+        alpha = float(alpha)  # numpy-scalar keys slow the scan 15x
+        side = [a for a in self._results if (a > 1.0) == (alpha > 1.0)]
+        warm = self._results[min(side, key=lambda a: abs(a - alpha))].center if side else None
+        params = RenyiParams(alpha, alpha if alpha > 1.0 else 1.0)
+        try:
+            res = self.solve(params, "D", sigma0=warm).require_converged(params)
+        except NonConvergenceError as exc:
+            self._failures[alpha] = str(exc)
+            raise
+        self._results[alpha] = res
+        slope = backend.alpha_slope if alpha > 1.0 else backend.petz_slope
+        dlogq = slope(self.compress(res.center.mat), self.powers(1.0), alpha)
+        self.slopes[alpha] = float(self.probs @ (alpha * dlogq - res.log_q + self.log_traces))
+        return res
 
-            chi_inf = min_sigma sum_x P(x) D_max(W(x) || sigma),
+    def chi(self, alpha: float) -> float:
+        return self.result(alpha).value
 
-        by ``optimize.minimize_dmax`` (BFGS on a smoothing) over the
-        compressed outputs V* W_x V, from V* start V for a full-space
-        ``start`` (else from W(P)).  Returns (value, center): the value is the
-        exact objective at the returned center, so an upper bound on chi_inf,
-        never above the objective at the start.
-        """
-        start = self.average.mat if start is None else start
-        outputs = self.compress(np.stack([self.w.output(s).mat for s in self.symbols]))
-        value, sigma = minimize_dmax(outputs, self.probs, self.compress(start))
-        return value, DensityOperator(self.embed(sigma))
+    def holevo(self) -> float:
+        """The Holevo quantity chi_1(W, P), computed on the first call."""
+        if self._holevo is None:
+            self._holevo = holevo_quantity(self.w, self.p)[0]
+        return self._holevo
+
+    def petz_divergence(self, alpha: float) -> float:
+        """sum_x P(x) D_{alpha,1}(W(x)||W(P)) at the unit-trace W(P): `_radius`
+        of one values-only sweep (``backend.q_sweep``), W_x^0 the support
+        projection at alpha = 0; chi_1 at alpha = 1.  Memoized, with its slope
+        sum_x P(x) d log Q_x/d alpha (``backend.petz_slope``) in
+        ``petz_slopes[alpha]``."""
+        if alpha == 1.0:
+            self._petz[alpha] = self.petz_slopes[alpha] = self.holevo()
+        elif alpha not in self._petz:
+            sigma = self.start / np.trace(self.start).real
+            logq = backend.q_sweep(sigma, self.powers(alpha), 1.0, 0.5 * (1.0 - alpha))
+            self._petz[alpha] = _radius("D", logq, self.probs, alpha, self.log_traces)
+            self.petz_slopes[alpha] = float(
+                self.probs @ backend.petz_slope(sigma, self.powers(1.0), alpha))
+        return self._petz[alpha]
+
+    def chi_inf(self) -> float:
+        """The alpha -> inf endpoint chi_inf = min_sigma sum_x P(x)
+        D_max(W(x)||sigma), solved once by ``optimize.minimize_dmax`` (BFGS on
+        a smoothing) over the compressed outputs V* W_x V, from V* sigma V of
+        the center sigma of the largest cached order above 1, else of W(P):
+        the exact objective at the state kept in ``chi_inf_center``, an upper
+        bound on the true radius, never above the objective at the start."""
+        if self._chi_inf is None:
+            top = max(self.slopes, default=1.0)
+            start = self._results[top].center.mat if top > 1.0 else self.average.mat
+            outputs = self.compress(np.stack([self.w.output(s).mat for s in self.symbols]))
+            self._chi_inf, sigma = minimize_dmax(outputs, self.probs, self.compress(start))
+            self.chi_inf_center = DensityOperator(self.embed(sigma))
+        return self._chi_inf
 
 
 def _symbol_divergences(logq, alpha, log_traces) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Operational exponent curves built on the weighted-center solvers.
+"""Operational exponent curves: Legendre searches over one radius cache.
 
 All rates and exponents are in nats.  Each supremum over the order is
 exactly 0, with no solve, where its bracket cannot be positive: at rates up
@@ -8,8 +8,9 @@ at f'(u) = R, found by one `_tangent_search` over the exact slopes its cache
 holds.  With f(u) = u chi_{1/(1-u)}, u = 1 - 1/alpha, u > 0 gives the strong
 converse exponent and u < 0 the sphere-packing bound; the random-coding
 exponent takes f(t) = sum_x P(x) (log Q_x - log Tr W_x) at W(P), t = alpha - 1.
-A failed order is dropped with a warning.  All three read one `RadiusCache`
-per (W, P), which compresses (W, P) to supp W(P) once.
+A failed order is dropped with a warning.  All three read the samples of
+one `RadiusCache` per (W, P), the ``centers.CenterProblem`` that memoizes
+every radius, slope and divergence.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
-from .centers import CenterProblem, holevo_quantity, weighted_divergence
+from .centers import CenterProblem, weighted_divergence
 from .channels import GcqChannel, InputDistribution, TypeClass
 from .divergences import RenyiParams, q_alpha_z
 from .exceptions import NonConvergenceError
@@ -65,91 +65,7 @@ class ConvexityReport:
     max_violation: float
 
 
-class RadiusCache:
-    """Memoized radii of one (W, P), with warm-started solves.
-
-    Holds one ``centers.CenterProblem``, so supp W(P) and the powered
-    outputs are compressed once for every order, :meth:`chi_inf` and
-    :meth:`petz_divergence`, and the Holevo quantity (:meth:`holevo`).  The
-    order picks z: alpha (sandwiched) above 1, 1 (Petz) below.  Each order is
-    solved from the center of the nearest cached order on its side of 1, as
-    a one-sided cache would.  A converged order also keeps ``slopes[alpha]``
-    = f'(u) of f(u) = u chi_alpha, u = 1 - 1/alpha: by the envelope theorem,
-    alpha sum_x P(x) d log Q_x/d alpha - sum_x P(x) (log Q_x - log Tr W_x) at
-    its center (``backend.alpha_slope`` above 1, ``petz_slope`` below).  An order
-    whose solve did not converge keeps its message and raises it again
-    without another solve.
-    """
-
-    def __init__(self, w: GcqChannel, p: InputDistribution):
-        self.w = w
-        self.p = p
-        self.problem = CenterProblem(w, p)
-        self._results = {}
-        self._failures = {}
-        self._petz = {}
-        self.slopes = {}
-        self._holevo = None
-        self._chi_inf = None
-        self.chi_inf_center = None
-
-    def result(self, alpha: float):
-        res = self._results.get(alpha)
-        if res is not None:
-            return res
-        if alpha in self._failures:
-            raise NonConvergenceError(self._failures[alpha])
-        alpha = float(alpha)  # numpy-scalar keys slow the scan 15x
-        side = [a for a in self._results if (a > 1.0) == (alpha > 1.0)]
-        warm = self._results[min(side, key=lambda a: abs(a - alpha))].center if side else None
-        params = RenyiParams(alpha, alpha if alpha > 1.0 else 1.0)
-        try:
-            res = self.problem.solve(params, "D", sigma0=warm).require_converged(params)
-        except NonConvergenceError as exc:
-            self._failures[alpha] = str(exc)
-            raise
-        self._results[alpha] = res
-        pb = self.problem
-        slope = backend.alpha_slope if alpha > 1.0 else backend.petz_slope
-        dlogq = slope(pb.compress(res.center.mat), pb.powers(1.0), alpha)
-        self.slopes[alpha] = float(pb.probs @ (alpha * dlogq - res.log_q + pb.log_traces))
-        return res
-
-    def chi(self, alpha: float) -> float:
-        return self.result(alpha).value
-
-    def holevo(self) -> float:
-        """The Holevo quantity chi_1(W, P), computed on the first call."""
-        if self._holevo is None:
-            self._holevo = holevo_quantity(self.w, self.p)[0]
-        return self._holevo
-
-    def petz_divergence(self, alpha: float) -> float:
-        """sum_x P(x) D_{alpha,1}(W(x)||W(P)) at the unit-trace W(P): one
-        values-only sweep (``backend.q_sweep``), W_x^0 the support projection
-        at alpha = 0; chi_1 at alpha = 1.  Memoized with its slope, sum_x P(x)
-        d log Q_x/d alpha (``backend.petz_slope``)."""
-        if alpha == 1.0:
-            self._petz[alpha] = (self.holevo(), self.holevo())
-        elif alpha not in self._petz:
-            pb = self.problem
-            sigma = pb.start / np.trace(pb.start).real
-            logq = backend.q_sweep(sigma, pb.powers(alpha), 1.0, 0.5 * (1.0 - alpha))
-            self._petz[alpha] = (float(pb.probs @ (logq - pb.log_traces) / (alpha - 1.0)),
-                                 float(pb.probs @ backend.petz_slope(sigma, pb.powers(1.0), alpha)))
-        return self._petz[alpha][0]
-
-    def chi_inf(self) -> float:
-        """The alpha -> inf endpoint chi_inf = min_sigma sum_x P(x)
-        D_max(W(x)||sigma), solved once (``CenterProblem.solve_dmax``, BFGS on a
-        smoothing) from the center of the largest cached order above 1, else
-        W(P): the exact objective at the state kept in ``chi_inf_center``, an
-        upper bound on the true radius, never above the objective at the start."""
-        if self._chi_inf is None:
-            top = max(self.slopes, default=1.0)
-            start = self._results[top].center.mat if top > 1.0 else None
-            self._chi_inf, self.chi_inf_center = self.problem.solve_dmax(start)
-        return self._chi_inf
+RadiusCache = CenterProblem  # the memo of one (W, P) the exponents read
 
 
 def _cache_for(w, p, cache):
@@ -171,21 +87,22 @@ def _solved(cache, u):
     return True
 
 
-def _radius_samples(cache, rate, lo, hi):
+def radius_samples(cache, rate, lo, hi):
     """The samples (u, g, f') on [lo, hi] sorted by u: u = 0 (g = 0, f' = chi_1)
     and each order alpha with a slope, at u = 1 - 1/alpha, g = u (R - chi_alpha)."""
     return sorted([(u, u * (rate - cache.chi(a)), s) for a, s in cache.slopes.items()
                    if lo <= (u := 1.0 - 1.0 / a) <= hi] + [(0.0, 0.0, cache.holevo())])
 
 
-def _moment_samples(cache, rate):
+def moment_samples(cache, rate):
     """The samples (t, g, f') on [-1, 0] sorted by t: t = 0 (g = 0, f' = chi_1)
     and each order alpha = 1 + t < 1 with a `petz_divergence` D, g = t (R - D)."""
-    return sorted([(a - 1.0, (a - 1.0) * (rate - div), s) for a, (div, s) in cache._petz.items()
-                   if a < 1.0] + [(0.0, 0.0, cache.holevo())])
+    return sorted([(a - 1.0, (a - 1.0) * (rate - cache.petz_divergence(a)), s)
+                   for a, s in cache.petz_slopes.items() if a < 1.0]
+                  + [(0.0, 0.0, cache.holevo())])
 
 
-def _bracket(pts, rate):
+def bracket(pts, rate):
     """Of samples (u, g, f') sorted by u: the last a with f' < R, the first b
     with f' >= R (None if none), and where the tangents of g at a and b meet,
     an upper bound on sup g (inf without both)."""
@@ -202,20 +119,21 @@ def _tangent_search(samples, probe, rate, lo, hi):
     """The supremum of a concave g(u) = uR - f(u) over [lo, hi], at f' = R.
     Each step adds to the ``samples()`` (u, g, f'), u = 0 among them, one
     ``probe(u)`` (False if it failed) at the secant root of f' = R through
-    the two samples with slopes nearest R (halfway to the far end with one
-    sample), clamped inside `_bracket`'s (a, b), else at its missing end or
-    middle; a failed probe moves halfway to a, else b.  Stops once the
-    bracket bound is within 1e-13 max(1, |g|) of the best g or b - a <
-    _XATOL, or with nothing left to probe: (samples, a, b)."""
+    the two samples with slopes nearest R, clamped inside `bracket`'s (a, b),
+    else at its missing end or middle; a failed probe moves halfway to a,
+    else b.  With u = 0 the only sample it probes halfway to the far end,
+    but not below u = -1 (alpha = 1/2).  Stops once the bracket bound is
+    within 1e-13 max(1, |g|) of the best g or b - a < _XATOL, or with
+    nothing left to probe: (samples, a, b)."""
     failed = set()
     while True:
         pts = samples()
-        a, b, upper = _bracket(pts, rate)
+        a, b, upper = bracket(pts, rate)
         best = max(q[1] for q in pts)
         if upper - best <= 1e-13 * max(1.0, abs(best)) or a and b and b[0] - a[0] < _XATOL:
             return pts, a, b
         ua, ub = lo if a is None else a[0], hi if b is None else b[0]
-        cand = 0.5 * (ua + ub)  # one sample: no secant yet
+        cand = max(-1.0, 0.5 * (ua + ub))  # one sample: no secant yet
         if len(pts) > 1:
             (u1, _, d1), (u2, _, d2) = sorted(pts, key=lambda q: abs(q[2] - rate))[:2]
             cand = u1 + (rate - d1) * (u2 - u1) / (d2 - d1) if d2 != d1 else math.inf
@@ -252,7 +170,7 @@ def sc_exponent(w: GcqChannel, p: InputDistribution, rate: float,
     top, g_inf = DEFAULT_ALPHA_MAX, -math.inf
     while True:
         hi = 1.0 - 1.0 / top
-        pts, a, b = _tangent_search(lambda: _radius_samples(cache, rate, 0.0, hi),
+        pts, a, b = _tangent_search(lambda: radius_samples(cache, rate, 0.0, hi),
                                     lambda u: _solved(cache, u), rate, 0.0, hi)
         if b is not None or top >= _ALPHA_TAIL_MAX:
             break
@@ -301,7 +219,7 @@ def sphere_packing_bound(w: GcqChannel, p: InputDistribution, rate: float,
     if rate >= cache.holevo():
         return 0.0
     lo = 1.0 - 1.0 / SP_ALPHA_MIN
-    pts, a, _ = _tangent_search(lambda: _radius_samples(cache, rate, lo, 0.0),
+    pts, a, _ = _tangent_search(lambda: radius_samples(cache, rate, lo, 0.0),
                                 lambda u: _solved(cache, u), rate, lo, 0.0)
     if len(pts) == 1:
         raise NonConvergenceError("no Petz radius evaluation converged")
@@ -318,7 +236,7 @@ def _random_coding_sup(cache, rate, penalty):
     rate += penalty
     if rate >= cache.holevo():
         return 0.0
-    pts, _, _ = _tangent_search(lambda: _moment_samples(cache, rate),
+    pts, _, _ = _tangent_search(lambda: moment_samples(cache, rate),
                                 lambda t: math.isfinite(cache.petz_divergence(1.0 + t)),
                                 rate, -1.0, 0.0)
     return max(q[1] for q in pts)

@@ -27,14 +27,14 @@ from renyicq.exponents import (
     DEFAULT_ALPHA_MAX,
     SP_ALPHA_MIN,
     RadiusCache,
-    _bracket,
-    _radius_samples,
+    bracket,
     clipped_trace,
     convexity_probe,
     cutoff_rate,
     finite_n_converse_bound,
     finite_n_random_coding_bound,
     psi_curve,
+    radius_samples,
     random_coding_exponent,
     sc_curve,
     sc_exponent,
@@ -328,7 +328,7 @@ class TestBracket:
             rate = float(rate)
             value, argmax = sc_exponent(w, p, rate, cache=cache)
             assert value >= _grid_value(full, rate, _grid_argmax(full, rate, GRID)) - 1e-12
-            _, b, upper = _bracket(_radius_samples(cache, rate, 0.0, 1.0), rate)
+            _, b, upper = bracket(radius_samples(cache, rate, 0.0, 1.0), rate)
             if b is not None:
                 assert value <= upper + 1e-12
 
@@ -394,7 +394,7 @@ class TestRadiusCache:
         assert len(calls) == 1
 
     def test_curve_computes_the_holevo_quantity_once(self, monkeypatch):
-        from renyicq import exponents
+        from renyicq import centers
 
         calls = []
 
@@ -402,7 +402,7 @@ class TestRadiusCache:
             calls.append(p)
             return holevo_quantity(w, p)
 
-        monkeypatch.setattr(exponents, "holevo_quantity", counted)
+        monkeypatch.setattr(centers, "holevo_quantity", counted)
         w, p = parse_preset("random:2:3:7")
         rates = np.linspace(0.5, 0.75, 6)
         sc_curve(w, p, rates)
@@ -514,12 +514,14 @@ class TestChiInf:
         cache.chi(2.0)
         cache.chi(64.0)
         value = cache.chi_inf()
-        problem = CenterProblem(w, p)
         # Exactly V* sigma V of the alpha = 64 center: no symmetrization added.
-        assert np.array_equal(starts[0], problem.compress(cache.result(64.0).center.mat))
-        again, center = problem.solve_dmax(cache.result(64.0).center.mat)
-        assert again == value
-        assert np.array_equal(center.mat, cache.chi_inf_center.mat)
+        assert np.array_equal(starts[0], cache.compress(cache.result(64.0).center.mat))
+        # A second cache that solves the same orders gives the same endpoint.
+        again = RadiusCache(w, p)
+        again.chi(2.0)
+        again.chi(64.0)
+        assert again.chi_inf() == value
+        assert np.array_equal(again.chi_inf_center.mat, cache.chi_inf_center.mat)
 
     @pytest.mark.parametrize("token", ["random:2:3:7", "random:4:4:7"])
     def test_value_attained_by_kept_center(self, token):
@@ -688,6 +690,15 @@ class TestSpherePacking:
         # at most 8 orders per rate, where the grid held 40
         assert len(lazy._results) <= 32
 
+    @pytest.mark.parametrize("d,seed", [(2, 11), (4, 2), (3, 5)])
+    def test_first_rate_solves_at_most_eight_orders(self, d, seed):
+        # With u = 0 the only sample, the first probe stops at u = -1
+        # (alpha = 1/2), not halfway to the floor at alpha = 1e-3.
+        w, p = random_cq_channel(d, 3, np.random.default_rng(seed))
+        cache = RadiusCache(w, p)
+        sphere_packing_bound(w, p, 0.4 * cache.holevo(), cache=cache)
+        assert 0 < len(cache.slopes) <= 8
+
     def test_petz_objective_is_convex_on_the_grid(self):
         # f(u) = u chi_{1/(1-u),1} is convex in u = 1 - 1/alpha: E_0(s) =
         # s chi_{1/(1+s),1} is concave in s = -u.  The search relies on it:
@@ -752,7 +763,7 @@ class TestRandomCoding:
             assert random_coding_exponent(w, p, rate, cache=cache) >= best - 1e-12
             if i == 0:
                 # the divergences the search evaluated, memoized by the cache
-                assert 0 < len(cache._petz) <= 12
+                assert 0 < len(cache.petz_slopes) <= 12
 
     def test_finite_n_below_asymptotic(self, random_channel):
         w, p, _ = random_channel

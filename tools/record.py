@@ -104,8 +104,8 @@ def curve(preset):
     values, argmax, gaps = [], [], []
     for rate in rates:
         value, alpha = exponents.sc_exponent(w, p, float(rate), cache=cache)
-        pts = exponents._radius_samples(cache, float(rate), 0.0, 1.0)
-        upper = exponents._bracket(pts, float(rate))[2] if 1.0 < alpha < math.inf else None
+        pts = exponents.radius_samples(cache, float(rate), 0.0, 1.0)
+        upper = exponents.bracket(pts, float(rate))[2] if 1.0 < alpha < math.inf else None
         values.append(value)
         argmax.append(alpha)
         gaps.append(upper - value if upper is not None and math.isfinite(upper) else None)
@@ -126,11 +126,11 @@ def bound(preset, kind):
         for rate in np.linspace(0.3, 1.1, 24) * cache.holevo():
             if kind == "sphere_packing":
                 values.append(float(exponents.sphere_packing_bound(w, p, rate, cache=cache)))
-                pts = exponents._radius_samples(cache, rate, lo, 0.0)
+                pts = exponents.radius_samples(cache, rate, lo, 0.0)
             else:
                 values.append(float(exponents.random_coding_exponent(w, p, rate, cache=cache)))
-                pts = exponents._moment_samples(cache, rate)
-            upper = exponents._bracket(pts, rate)[2]
+                pts = exponents.moment_samples(cache, rate)
+            upper = exponents.bracket(pts, rate)[2]
             gaps.append(upper - values[-1] if math.isfinite(upper) else None)
     return {"value": values, "flag": str(log[0].message) if log else None, "gap": gaps}
 
