@@ -258,7 +258,11 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
     gamma > 1 (the alpha < 0.1 extrapolation, clipped to the PSD cone
     instead).  The one stop test is
     the trace-norm residual of the iterate, computed only once its Frobenius
-    norm, never larger, is within DEFAULT_TOL; ``iterations`` counts sweeps,
+    norm, never larger, is within DEFAULT_TOL, and above order 1 an iterate
+    that is safely positive definite.  The map keeps supp sigma, so a
+    rank-deficient iterate can be its fixed point; above 1 that is never the
+    center, since every D(W_x||sigma) off supp W(P) is +inf, while below 1
+    a center can be numerically rank-deficient.  ``iterations`` counts sweeps,
     at most DEFAULT_MAX_ITER.
 
     Returns (sigma, logq, iterations, trace-norm residual, converged), where
@@ -281,7 +285,7 @@ def _run_fixed_point(wpows, probs, sigma0, z, spow, alpha, kind):
         res_f = float(np.linalg.norm(diff))
         if res_f <= DEFAULT_TOL:
             tn = trace_norm(diff)
-            if tn <= DEFAULT_TOL:
+            if tn <= DEFAULT_TOL and (alpha < 1.0 or _safely_definite(sigma)):
                 return sigma, logq, it, tn, True
 
         if mixed and not res_f <= prev_res * 1.25:
@@ -441,7 +445,12 @@ class CenterProblem:
 
     def solve(self, params: RenyiParams, kind: str, sigma0=None) -> CenterResult:
         """The D or the Q-bar center: the fixed-point solve on the compressed
-        support, from V* sigma0 V (Hermitian part) or else from W(P).
+        support, from V* sigma0 V (Hermitian part) or else from W(P).  A
+        state sigma0 whose V* sigma0 V is not safely positive definite raises
+        ValueError: the map keeps supp sigma, so the solve could not leave
+        that null space.  A CenterResult as sigma0 continues from its center
+        as is, since below order 1 a center can be numerically
+        rank-deficient.
         ``value`` is `_radius` at the returned center, read off its own sweep,
         which the result keeps as ``log_q``; an unconverged solve returns the
         loop's last iterate, flagged, so its value is F at a state and an upper
@@ -455,11 +464,14 @@ class CenterProblem:
         else:
             proven = report.in_Gamma_Qbar and report.second_arg_convex_Qbar
         a, z = params.alpha, params.z
-        if sigma0 is not None:
-            sig_start = self.compress(herm(sigma0).mat)
-            sig_start = 0.5 * (sig_start + sig_start.conj().T)
-        else:
+        if sigma0 is None:
             sig_start = self.start
+        else:
+            earlier = isinstance(sigma0, CenterResult)
+            sig_start = self.compress(herm(sigma0.center if earlier else sigma0).mat)
+            sig_start = 0.5 * (sig_start + sig_start.conj().T)
+            if not (earlier or _safely_definite(sig_start)):
+                raise ValueError("sigma0 must be positive definite on the support of W(P)")
 
         sigma, logq, iters, residual, ok = _run_fixed_point(
             self.powers(a / z), self.probs, sig_start, z, (1.0 - a) / (2.0 * z), a, kind
@@ -481,7 +493,7 @@ class CenterProblem:
             raise NonConvergenceError(self._failures[alpha])
         alpha = float(alpha)  # numpy-scalar keys slow the scan 15x
         side = [a for a in self._results if (a > 1.0) == (alpha > 1.0)]
-        warm = self._results[min(side, key=lambda a: abs(a - alpha))].center if side else None
+        warm = self._results[min(side, key=lambda a: abs(a - alpha))] if side else None
         params = RenyiParams(alpha, alpha if alpha > 1.0 else 1.0)
         try:
             res = self.solve(params, "D", sigma0=warm).require_converged(params)
@@ -803,14 +815,12 @@ def divergence_radius(w: GcqChannel, params: RenyiParams):
         warnings.warn("divergence_radius outside the proven convexity region is heuristic")
     symbols = w.alphabet
     weights = np.full(len(symbols), 1.0 / len(symbols))
-    warm = None
-    best = None
+    res = best = None
     for _ in range(500):
         p_t = InputDistribution(dict(zip(symbols, weights)))
         # Every weight stays positive, so the problem's symbols are the alphabet.
         problem = CenterProblem(w, p_t)
-        res = problem.solve(params, "D", warm)
-        warm = res.center
+        res = problem.solve(params, "D", res)
         dvals = _symbol_divergences(res.log_q, params.alpha, problem.log_traces)
         radius_up = float(dvals.max())
         gap = radius_up - float(problem.probs @ dvals)

@@ -7,7 +7,8 @@ exact gradient and Hessian, run on a whole batch of orders at once.  Each
 order stops when the sup norm of its gradient reaches 1e-14 or when no step
 is accepted; an order whose gradient is then above 1e-12 raises
 NonConvergenceError instead of returning a value.  The exponent suprema use
-a dense order grid, solved as one batch, plus bounded scalar refinement.
+a dense order grid, then four nested grids around its argmax, each grid
+solved as one batch.
 Everything here works on plain stochastic matrices (one row per input
 symbol).
 """
@@ -163,17 +164,6 @@ def _augustin_newton(logp, weights, alphas, t0):
     return f, norm
 
 
-def _refined_max(g, grid, xatol):
-    """Max of g over ``grid`` and a bounded Brent search of g, to ``xatol``,
-    between the neighbours of the grid argmax."""
-    gs = [g(x) for x in grid]
-    j = int(np.argmax(gs))
-    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(lambda x: -g(x), bounds=(lo, hi), method="bounded",
-                                   options={"xatol": xatol})
-    return max(max(gs), -float(res.fun))
-
-
 class ClassicalChannel:
     """A stochastic matrix with an input law, plus cached radius solves."""
 
@@ -220,8 +210,7 @@ class ClassicalChannel:
         <= 1e-14 or no step is accepted.  If |g|_inf is then above 1e-12 the
         order raises NonConvergenceError.  Values are cached with that norm.
         """
-        if alpha not in self._radius:
-            self._solve([alpha])
+        self._solve([alpha])
         return self._radius[alpha][0]
 
     def _solve(self, alphas):
@@ -299,37 +288,39 @@ class ClassicalChannel:
         self._dmax = exact
         return exact
 
+    def _order_max(self, rate, alphas):
+        """Max of g(alpha) = (1 - 1/alpha)(R - augustin_radius(alpha)), g(1) = 0,
+        over ``alphas`` and four nested grids of 33 orders, each spanning the
+        neighbours of the previous argmax and solved as one batch.
+
+        g is concave in u = 1 - 1/alpha, which rises with alpha, so g is
+        unimodal in alpha and those neighbours bracket its maximum.
+        """
+        grid, best = np.asarray(alphas, dtype=float), -math.inf
+        for _ in range(5):
+            self._solve(grid[grid != 1.0])
+            radii = np.array([self._radius[a][0] if a != 1.0 else rate for a in grid.tolist()])
+            values = (1.0 - 1.0 / grid) * (rate - radii)
+            j = int(np.argmax(values))
+            best = max(best, float(values[j]))
+            grid = np.linspace(grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)], 33)
+        return best
+
     def sc_exponent(self, rate: float) -> float:
         """sup_{alpha>1} (1-1/alpha)(R - augustin_radius(alpha)), clamped at 0.
 
-        Grid of 600 points u = 1 - 1/alpha in [0, 1 - 1/1024], solved as one
-        batch, then bounded refinement between the neighbours of the grid
-        argmax; the alpha -> inf endpoint is R - dmax_radius.  At or below
-        the Holevo quantity the value is 0 (the radius rises with alpha),
-        and the refinement is skipped.
+        `_order_max` over the orders 1/(1 - u), u in 600 points of
+        [0, 1 - 1/1024], solved before the Holevo check, and the alpha -> inf
+        endpoint R - dmax_radius.  At or below the Holevo quantity the value
+        is 0 (the radius rises with alpha).
         """
-
-        def g(u):
-            if u <= 0.0:
-                return 0.0
-            return u * (rate - self.augustin_radius(1.0 / (1.0 - u)))
-
-        us = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 600)
-        self._solve(1.0 / (1.0 - us[us > 0.0]))
+        alphas = 1.0 / (1.0 - np.linspace(0.0, 1.0 - 1.0 / 1024.0, 600))
+        self._solve(alphas[1:])
         if rate <= self.holevo():
             return 0.0
-        return max(0.0, _refined_max(g, us, 1e-11), rate - self.dmax_radius())
+        return max(0.0, self._order_max(rate, alphas), rate - self.dmax_radius())
 
     def sphere_packing(self, rate: float) -> float:
-        """sup_{alpha in (1e-3, 1)} ((alpha-1)/alpha)(R - augustin_radius).
-
-        Geometric grid of 400 orders, solved as one batch, then bounded
-        refinement between the neighbours of the grid argmax.
-        """
-
-        def g(a):
-            return (a - 1.0) / a * (rate - self.augustin_radius(a))
-
-        grid = np.geomspace(1e-3, 1.0 - 1e-6, 400)
-        self._solve(grid)
-        return max(0.0, _refined_max(g, grid, 1e-12))
+        """sup_{alpha in (1e-3, 1)} ((alpha-1)/alpha)(R - augustin_radius),
+        clamped at 0: `_order_max` over 400 geometric orders."""
+        return max(0.0, self._order_max(rate, np.geomspace(1e-3, 1.0 - 1e-6, 400)))

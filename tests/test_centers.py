@@ -545,6 +545,41 @@ class TestUnconvergedSolve:
         assert forced.converged == (forced.residual <= DEFAULT_TOL)
 
 
+class TestRankDeficientStart:
+    """The center map keeps supp sigma, so a state with a null space on the
+    support of W(P) can be its fixed point and read a wrong value off its
+    sweep: from |0><0|, -1.217 on random:2:3:7 at sandwiched alpha = 2,
+    where the radius is 0.617 and the weighted divergence there is inf."""
+
+    @staticmethod
+    def _pure(k):
+        pure = np.zeros((k, k), dtype=complex)
+        pure[0, 0] = 1.0
+        return pure
+
+    @pytest.mark.parametrize("preset, params", [
+        ("random:2:3:7", SANDWICHED_2),
+        ("random:4:3:1", SANDWICHED_2),
+        ("random:2:3:7", RenyiParams.petz(0.5)),
+    ])
+    def test_solve_refuses_the_start(self, preset, params):
+        w, p = parse_preset(preset)
+        pure = self._pure(average_output(w, p).mat.shape[0])
+        with pytest.raises(ValueError, match="positive definite"):
+            centers.CenterProblem(w, p).solve(params, "D", sigma0=pure)
+
+    def test_loop_never_reports_it_converged(self, monkeypatch):
+        monkeypatch.setattr(centers, "DEFAULT_MAX_ITER", 5)
+        w, p = parse_preset("random:2:3:7")
+        problem = centers.CenterProblem(w, p)
+        start = problem.compress(self._pure(average_output(w, p).mat.shape[0]))
+        assert np.linalg.matrix_rank(start) == 1
+        # sandwiched alpha = z = 2: powers W_x^(alpha/z), sigma exponent (1 - alpha)/2z
+        _, _, iterations, _, converged = centers._run_fixed_point(
+            problem.powers(1.0), problem.probs, start, 2.0, -0.25, 2.0, "D")
+        assert not converged and iterations == 5
+
+
 class TestPowerUnderflow:
     """W_1^1024 of random:4:3:1 underflows (lambda_max 0.457): a refusal
     naming the symbol and the power, not a vanishing overlap."""

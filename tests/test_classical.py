@@ -59,6 +59,49 @@ class TestAugustinClosedForms:
         assert abs(value - classical_divergence(rows[0], uniform, alpha)) <= 1e-12
 
 
+class TestSuprema:
+    @pytest.mark.parametrize("method, warm, rate", [
+        ("sc_exponent", 1.5, 1.8), ("sphere_packing", 0.9, 0.95)])
+    def test_a_new_rate_solves_a_few_batches(self, method, warm, rate, monkeypatch):
+        # Every order is solved in a batch: the grid, then one per nested grid.
+        oracle = ClassicalChannel(*ZERO_ENTRIES)
+        hol = oracle.holevo()
+        getattr(oracle, method)(warm * hol)
+        batches = []
+        solve = oracle._solve
+
+        def recorded(alphas):
+            batches.append(len(alphas))
+            return solve(alphas)
+
+        monkeypatch.setattr(oracle, "_solve", recorded)
+        getattr(oracle, method)(rate * hol)
+        assert 0 < len(batches) <= 6 and min(batches) > 1
+
+    @pytest.mark.parametrize("method, rates", [
+        ("sc_exponent", (0.25, 0.4, 0.58)), ("sphere_packing", (0.02, 0.08, 0.16))])
+    def test_symmetric_channel_matches_brute_force(self, method, rates):
+        # The radius is D_alpha(row || uniform) and its alpha -> inf end is
+        # log 1.8; g is maximized over 1e5 points of the oracle's order range,
+        # evenly spaced in u = 1 - 1/alpha above 1 and in alpha below.
+        row = np.array([0.6, 0.3, 0.1])
+        oracle = ClassicalChannel([np.roll(row, k) for k in range(3)], np.full(3, 1.0 / 3.0))
+        if method == "sc_exponent":
+            alphas = 1.0 / (1.0 - np.linspace(0.0, 1.0 - 1.0 / 1024.0, 10 ** 5)[1:])
+        else:
+            alphas = np.linspace(1e-3, 1.0 - 1e-6, 10 ** 5)
+        # log sum_j row_j^alpha, with the largest term 0.6^alpha factored out
+        log_sums = alphas * math.log(0.6) + np.log(np.sum(np.exp(
+            np.outer(alphas, np.log(row / 0.6))), axis=1))
+        radii = math.log(3.0) + log_sums / (alphas - 1.0)
+        for rate in rates:
+            brute = float(np.max((1.0 - 1.0 / alphas) * (rate - radii)))
+            if method == "sc_exponent":
+                brute = max(brute, rate - math.log(1.8))
+            got = getattr(oracle, method)(rate)
+            assert brute - 1e-14 <= got <= brute + 1e-10
+
+
 class TestCertification:
     def test_zero_entries_every_grid_order_certified_and_monotone(self):
         oracle = ClassicalChannel(*ZERO_ENTRIES)

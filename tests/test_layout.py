@@ -67,6 +67,13 @@ def test_only_centers_calls_the_kernel():
     assert importers == {"centers.py"}
 
 
+def test_the_classical_oracle_stays_independent():
+    # classical.py is the scalar oracle the solvers are checked against, so it
+    # shares no code with them: of the package it imports only the exceptions.
+    modules, names = _imports(ast.parse((PACKAGE / "classical.py").read_text(encoding="utf-8")))
+    assert set(modules.values()) | {m for m, _ in names} <= {"exceptions"}
+
+
 def test_no_private_name_crosses_modules():
     # A leading underscore means "this module only": the package and the
     # tools import no such name from another renyicq module and read none off

@@ -226,7 +226,8 @@ def _summary(recs):
 
 def _changes(old, new, keys):
     """How many of ``keys`` changed sweeps, value and argmax, and the largest
-    argmax move |du| in u = 1 - 1/alpha (a Brent move is at its 1e-7 xatol)."""
+    argmax move |du| in u = 1 - 1/alpha (the tangent search's bracket stops at
+    a width of 1e-7 in u, so a smaller move is no move to another order)."""
     text = (f"{sum(old[k]['sweeps'] != new[k]['sweeps'] for k in keys)} of {len(keys)} "
             f"with changed sweeps, {sum(old[k].get('value') != new[k].get('value') for k in keys)} "
             "with a changed value")
