@@ -568,16 +568,34 @@ class TestRankDeficientStart:
         with pytest.raises(ValueError, match="positive definite"):
             centers.CenterProblem(w, p).solve(params, "D", sigma0=pure)
 
-    def test_loop_never_reports_it_converged(self, monkeypatch):
+    # powers W_x^(alpha/z), sigma exponent (1 - alpha)/2z
+    @pytest.mark.parametrize("exponent, z, spow, alpha", [(1.0, 2.0, -0.25, 2.0),
+                                                          (0.5, 1.0, 0.25, 0.5)],
+                             ids=["sandwiched-2", "petz-0.5"])
+    def test_loop_never_reports_it_converged(self, monkeypatch, exponent, z, spow, alpha):
+        # Below order 1 F is finite at such a state, so only the stop test's
+        # definiteness check keeps the loop from stopping there.
         monkeypatch.setattr(centers, "DEFAULT_MAX_ITER", 5)
         w, p = parse_preset("random:2:3:7")
         problem = centers.CenterProblem(w, p)
         start = problem.compress(self._pure(average_output(w, p).mat.shape[0]))
         assert np.linalg.matrix_rank(start) == 1
-        # sandwiched alpha = z = 2: powers W_x^(alpha/z), sigma exponent (1 - alpha)/2z
         _, _, iterations, _, converged = centers._run_fixed_point(
-            problem.powers(1.0), problem.probs, start, 2.0, -0.25, 2.0, "D")
+            problem.powers(exponent), problem.probs, start, z, spow, alpha, "D")
         assert not converged and iterations == 5
+
+    def test_solve_refuses_an_earlier_rank_one_center(self):
+        # A warm start is checked like any other start.
+        w, p = parse_preset("random:2:3:7")
+        earlier = centers.CenterResult(DensityOperator(self._pure(2)), 0.0, 1, 0.0, True,
+                                       FIXED_POINT)
+        with pytest.raises(ValueError, match="positive definite"):
+            centers.CenterProblem(w, p).solve(RenyiParams.petz(0.5), "D", sigma0=earlier)
+
+    def test_small_order_extrapolation_is_mixed(self):
+        # Past sweep 40 the step 1/alpha (capped at 50) is mixed like any other.
+        res = solve_center_D(*parse_preset("random:8:3:3"), RenyiParams.petz(0.001))
+        assert res.converged and res.iterations <= 100
 
 
 class TestPowerUnderflow:

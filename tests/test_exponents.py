@@ -318,6 +318,29 @@ class TestSlope:
         assert slopes[3] <= cache.holevo() <= slopes[4]
 
 
+class TestNoStopOnAFace:
+    """Below order 1 F is finite off supp sigma, so a center solve that let an
+    iterate lose rank could stop on a face of the state space, and a warm
+    start from it would stay there: the kernel's eigenvalue cut keeps a null
+    space null."""
+
+    def test_cold_small_order_stops_inside(self):
+        from renyicq import centers
+
+        cache = RadiusCache(*_slope_channel("rank_deficient"))
+        res = cache.result(0.05)
+        # 0.0818641 on the face, 1.6e-4 above the radius.
+        assert res.value <= 0.0817029
+        assert centers._safely_definite(cache.compress(res.center.mat))
+
+    def test_warm_start_below_one_matches_a_cold_solve(self):
+        cache = RadiusCache(*_slope_channel("rank_deficient"))
+        cache.result(0.05)
+        # 0.32569 on the face, 0.30373 cold.
+        assert cache.chi(0.3) == pytest.approx(
+            RadiusCache(*_slope_channel("rank_deficient")).chi(0.3), abs=1e-10)
+
+
 class TestBracket:
     @pytest.mark.parametrize("d,k,seed", [(2, 2, 3), (2, 3, 11), (3, 2, 5),
                                           (3, 3, 1), (4, 3, 2), (2, 4, 9)])

@@ -49,12 +49,18 @@ def _write(path, records):
 
 def test_diff_reports_a_rise_a_new_flag_and_more_sweeps(record, tmp_path, capsys):
     a, b = ["grid", "petz", 0.7, 2, 0], ["grid", "petz", 0.7, 2, 1]
-    old = _write(tmp_path / "old.json", [_rec(a, 10, 1.0), _rec(b, 10, 2.0)])
-    new = _write(tmp_path / "new.json", [_rec(a, 30, 1.5), _rec(b, 10, 2.0, "capped")])
+    c, e = ["grid", "petz", 0.7, 2, 2], ["grid", "petz", 0.7, 2, 3]
+    old = _write(tmp_path / "old.json", [_rec(a, 10, 1.0), _rec(b, 10, 2.0),
+                                         _rec(c, 40, 3.0), _rec(e, 500, 4.0)])
+    new = _write(tmp_path / "new.json", [_rec(a, 30, 1.5), _rec(b, 10, 2.0, "capped"),
+                                         _rec(c, 4, 3.0), _rec(e, 100, 4.0)])
     record.diff(old, new)
     out = capsys.readouterr().out
     assert "1 newly flagged\n  ('grid', 'petz', 0.7, 2, 1): capped" in out
     assert "1 cases took more sweeps\n  ('grid', 'petz', 0.7, 2, 0): 10 -> 30" in out
+    # The fall by ratio (10x), not the one by count (400 sweeps).
+    assert ("2 cases took fewer sweeps\n  largest fall ('grid', 'petz', 0.7, 2, 2): 40 -> 4"
+            in out)
     assert "largest absolute value rise: 0.5 at ('grid', 'petz', 0.7, 2, 0)" in out
     assert "largest absolute value drop: none" in out
 

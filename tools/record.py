@@ -242,7 +242,8 @@ def _changes(old, new, keys):
 def diff(old_path, new_path):
     """Both files' totals per group, with the microseconds per sweep, the
     largest curve gap and each flagged case; the newly flagged cases; the
-    cases whose sweeps rose, largest ratio first; the changed sweeps and
+    cases whose sweeps rose, largest ratio first; how many fell, and the
+    largest fall by ratio; the changed sweeps and
     values (and argmaxes) per group; the largest value rise and drop,
     absolute and relative to max(1, |old|), the scale of the package's
     tolerances (radii are upper bounds, so the sign matters)."""
@@ -267,6 +268,11 @@ def diff(old_path, new_path):
     print(f"{len(rose)} cases took more sweeps")
     for k in rose:
         print(f"  {k}: {old[k]['sweeps']} -> {new[k]['sweeps']}")
+    fell = [k for k in old if new[k]["sweeps"] < old[k]["sweeps"]]
+    print(f"{len(fell)} cases took fewer sweeps")
+    if fell:
+        k = max(fell, key=lambda k: old[k]["sweeps"] / max(new[k]["sweeps"], 1))
+        print(f"  largest fall {k}: {old[k]['sweeps']} -> {new[k]['sweeps']}")
     for g in groups:
         print(f"{g}: {_changes(old, new, [k for k in old if old[k]['group'] == g])}")
     print(f"all: {_changes(old, new, list(old))}")
